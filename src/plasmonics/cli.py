@@ -40,13 +40,6 @@ from .errors import ConfigError, PlasmonicsError
 from .specfun import Direction
 
 
-def _fmt(x) -> float:
-    # 17 significant digits, round-tripped so json elides nothing
-    if x is None:
-        return None
-    return float(f"{x:.17g}")
-
-
 HBARC_EV_NM = 197.3269804
 
 
@@ -145,24 +138,27 @@ def _report_payload(rep) -> dict:
         "n": rep.n,
         "order": rep.order,
         "found": rep.found,
-        "omega_star": _fmt(rep.omega_star),
+        "omega_star": rep.omega_star,
         "tau_at_min": None if rep.tau_at_min is None else
-            {"re": _fmt(rep.tau_at_min.real), "im": _fmt(rep.tau_at_min.imag)},
+            {"re": rep.tau_at_min.real, "im": rep.tau_at_min.imag},
         "shift_from_quasistatic": None if math.isnan(rep.shift_from_quasistatic)
-            else _fmt(rep.shift_from_quasistatic),
-        "fwhm_estimate": _fmt(rep.fwhm_estimate) if rep.fwhm_estimate is not None else None,
+            else rep.shift_from_quasistatic,
+        "fwhm_estimate": rep.fwhm_estimate,
     }
 
 
-def cmd_spectrum(cfg: RunConfig, out: Path, jobs: int) -> int:
+def cmd_spectrum(cfg: RunConfig, out: Path, jobs: int, fmt: str = "csv") -> int:
+    if cfg.geometry != "sphere":
+        raise ConfigError("spectrum supports geometry = sphere only; "
+                          "the coated-sphere solution is not implemented")
     geom = mie.SphereGeometry(cfg.radius)
     spec = mie.scan_spectrum(geom, cfg.host.medium_at, cfg.omega_grid(), cfg.plane_wave(),
                              mode=cfg.spectrum_mode, jobs=jobs)
     mie.write_spectrum_csv(spec, out / "spectrum.csv")
-    _write_json(out / "spectrum_peaks.json", {
-        "peaks": [{"omega": _fmt(p.omega), "q": _fmt(p.q),
-                   "fwhm": _fmt(p.fwhm) if p.fwhm is not None else None}
-                  for p in spec.peaks]})
+    _write_json(out / "spectrum_peaks.json", mie.peaks_json_payload(spec))
+    if fmt == "json":
+        _write_json(out / "spectrum.json", {"spectrum": [
+            {"omega": w, "qext": q} for w, q in zip(spec.omega, spec.qext)]})
     return 0
 
 
@@ -214,13 +210,13 @@ def cmd_mg(cfg: RunConfig, out: Path) -> int:
         et = effective.mg_effective(med.eps_m, med.eps_c, cfg.mg_f,
                                     validity_constant=cfg.mg_constant)
         entries.append({
-            "omega": _fmt(om),
-            "gamma_star_re": [[_fmt(v.real) for v in row] for row in et.gamma_star],
-            "gamma_star_im": [[_fmt(v.imag) for v in row] for row in et.gamma_star],
-            "f": _fmt(et.f),
+            "omega": om,
+            "gamma_star_re": [[v.real for v in row] for row in et.gamma_star],
+            "gamma_star_im": [[v.imag for v in row] for row in et.gamma_star],
+            "f": et.f,
             "valid": et.valid,
-            "margin": _fmt(et.margin),
-            "remainder_scale": _fmt(et.remainder_scale),
+            "margin": et.margin,
+            "remainder_scale": et.remainder_scale,
         })
     _write_json(out / "mg.json", {"sweep": entries})
     return 0
@@ -231,8 +227,8 @@ def cmd_aniso(cfg: RunConfig, out: Path) -> int:
                                     cfg.aniso_delta,
                                     omega_range=(cfg.omega_min, cfg.omega_max))
     _write_json(out / "aniso.json", {"resonances": [
-        {"omega_star": _fmt(r["omega_star"]), "found": r["found"],
-         "path_shift": _fmt(r["path_shift"]), "multiplicity": r["multiplicity"]}
+        {"omega_star": r["omega_star"], "found": r["found"],
+         "path_shift": r["path_shift"], "multiplicity": r["multiplicity"]}
         for r in res]})
     return 0
 
@@ -290,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=["spectrum", "modes", "resonance", "mg", "aniso", "selftest"])
     ap.add_argument("--config", default=None, help="INI-style run configuration")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+    ap.add_argument("--jobs", type=int, default=1, help="accepted and ignored: scans run in one thread")
     ap.add_argument("--format", choices=["csv", "json"], default="csv",
                     help="main table format (spectrum command)")
     ap.add_argument("--geometry", choices=["sphere", "shell"], default=None,
@@ -309,13 +305,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":
-            rc = cmd_spectrum(cfg, out, max(1, args.jobs))
-            if args.format == "json":
-                spec = (out / "spectrum.csv").read_text().splitlines()[1:]
-                rows = [{"omega": _fmt(float(a)), "qext": _fmt(float(b))}
-                        for a, b in (ln.split(",") for ln in spec)]
-                _write_json(out / "spectrum.json", {"spectrum": rows})
-            return rc
+            return cmd_spectrum(cfg, out, args.jobs, args.format)
         if args.command == "modes":
             return cmd_modes(cfg, out)
         if args.command == "resonance":

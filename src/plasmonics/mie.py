@@ -10,22 +10,14 @@ and the electric analogue S_n^TM with eps in place of mu; they relate to the
 textbook Mie coefficients by S_n^TM = -a_n, S_n^TE = -b_n (verified against a
 Bohren-Huffman-style oracle in the test suite).
 
-Two output conventions exist for amplitude/extinction:
-
-* ``convention="classical"`` (default): plane-wave coefficients carry the
-  conjugated harmonic weights and the optical theorem is normalized
-  consistently with E^s ~ -exp(ik|x|)/(4 pi |x|) A_inf; the resulting Q^ext
-  equals the classical Mie extinction to machine precision.
-* ``convention="squared-weights"``: an alternative form with unconjugated
-  squared weights and a +4 pi / k optical-theorem prefactor.  Kept for
-  diagnostics; it is not rotation invariant and differs from the classical
-  value by a systematic factor (-1/(4 pi) for nonmagnetic media).
+Plane-wave coefficients carry the conjugated harmonic weights and the optical
+theorem is normalized consistently with E^s ~ -exp(ik|x|)/(4 pi |x|) A_inf;
+the resulting Q^ext equals the classical Mie extinction to machine precision.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +26,6 @@ from . import media as _media
 from . import specfun
 from .errors import DomainError
 from .specfun import Direction
-
-_CONVENTIONS = ("classical", "squared-weights")
 
 
 @dataclass(frozen=True)
@@ -152,9 +142,7 @@ def _dipole_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float) -
 
 
 def _amplitude_from_coeffs(coeffs: ScatterCoeffs, med: _media.MediumPair, omega: float,
-                           pw: PlaneWave, xhat: Direction, convention: str) -> np.ndarray:
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
+                           pw: PlaneWave, xhat: Direction) -> np.ndarray:
     k_m, _ = _media.wavenumbers(med, omega)
     p = pw.p_vector()
     _, Ud, Vd = specfun.harmonics_all(coeffs.n_max, pw.direction)
@@ -164,29 +152,22 @@ def _amplitude_from_coeffs(coeffs: ScatterCoeffs, med: _media.MediumPair, omega:
     for n in range(1, coeffs.n_max + 1):
         ste, stm = coeffs.pair(n)
         for m in range(-n, n + 1):
-            if convention == "classical":
-                wte = np.dot(np.conj(Vd[(n, m)]), p)
-                wtm = np.dot(np.conj(Ud[(n, m)]), p)
-                A += pref * 1j * (ste * wte * Vx[(n, m)] + stm * wtm * Ux[(n, m)])
-            else:
-                wte = np.dot(Vd[(n, m)], p)
-                wtm = np.dot(Ud[(n, m)], p)
-                A += pref * (-ste * wte * Vx[(n, m)] + 1j * stm * wtm * Ux[(n, m)])
+            wte = np.dot(np.conj(Vd[(n, m)]), p)
+            wtm = np.dot(np.conj(Ud[(n, m)]), p)
+            A += pref * 1j * (ste * wte * Vx[(n, m)] + stm * wtm * Ux[(n, m)])
     return A
 
 
 def plane_wave_amplitude(geom: SphereGeometry, med: _media.MediumPair, omega: float,
-                         pw: PlaneWave, xhat: Direction, n_max: int | None = None,
-                         convention: str = "classical") -> np.ndarray:
+                         pw: PlaneWave, xhat: Direction, n_max: int | None = None) -> np.ndarray:
     """Scattering amplitude A_inf(xhat), normalized so that the scattered
     far field is E^s ~ -exp(i k_m |x|) / (4 pi |x|) * A_inf(xhat)."""
     coeffs = scattering_coeffs(geom, med, omega, n_max)
-    return _amplitude_from_coeffs(coeffs, med, omega, pw, xhat, convention)
+    return _amplitude_from_coeffs(coeffs, med, omega, pw, xhat)
 
 
 def extinction(geom: SphereGeometry, med: _media.MediumPair, omega: float, pw: PlaneWave,
-               mode: str = "series", n_max: int | None = None,
-               convention: str = "classical") -> float:
+               mode: str = "series", n_max: int | None = None) -> float:
     """Extinction cross-section via the optical theorem.
 
     ``mode="series"`` uses the exact modal coefficients; ``mode="dipole"``
@@ -201,11 +182,9 @@ def extinction(geom: SphereGeometry, med: _media.MediumPair, omega: float, pw: P
         raise DomainError(f"unknown extinction mode {mode!r}")
     k_m, _ = _media.wavenumbers(med, omega)
     p = pw.p_vector()
-    A = _amplitude_from_coeffs(coeffs, med, omega, pw, pw.direction, convention)
+    A = _amplitude_from_coeffs(coeffs, med, omega, pw, pw.direction)
     forward = complex(np.dot(p, A)) / float(np.dot(p, p))
-    if convention == "classical":
-        return -forward.imag / k_m.real + 0.0  # +0.0 normalizes -0.0
-    return 4.0 * math.pi / k_m.real * forward.imag + 0.0
+    return -forward.imag / k_m.real + 0.0  # +0.0 normalizes -0.0
 
 
 def _refine_peak(om: np.ndarray, q: np.ndarray, i: int) -> tuple[float, float]:
@@ -250,28 +229,20 @@ def find_peaks(om: np.ndarray, q: np.ndarray) -> list[Peak]:
 
 
 def scan_spectrum(geom: SphereGeometry, media_fn, omegas, pw: PlaneWave,
-                  mode: str = "series", convention: str = "classical",
-                  jobs: int = 1) -> Spectrum:
+                  mode: str = "series", jobs: int = 1) -> Spectrum:
     """Extinction over a frequency grid plus peak records.
 
-    ``media_fn(omega)`` supplies the MediumPair at each grid point.  Points
-    are independent; with ``jobs > 1`` they are evaluated by a thread pool and
-    reassembled in grid order.
+    ``media_fn(omega)`` supplies the MediumPair at each grid point.  ``jobs``
+    is accepted and ignored: points are evaluated in grid order in the
+    calling thread, because a thread pool only contends for the interpreter
+    lock and was measured slower.
     """
     om = np.asarray(list(omegas), dtype=float)
     if om.size < 3:
         raise DomainError("scan grid needs at least 3 frequencies")
     if np.any(np.diff(om) <= 0):
         raise DomainError("scan grid must be strictly increasing")
-
-    def one(w: float) -> float:
-        return extinction(geom, media_fn(w), w, pw, mode=mode, convention=convention)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            q = np.array(list(pool.map(one, om)))
-    else:
-        q = np.array([one(w) for w in om])
+    q = np.array([extinction(geom, media_fn(w), w, pw, mode=mode) for w in om])
     return Spectrum(omega=om, qext=q, peaks=find_peaks(om, q))
 
 

@@ -133,14 +133,10 @@ def forward_amplitude(d: Direction, p, omega: float, med: _media.MediumPair,
 
 
 def extinction_quasistatic(d: Direction, p, omega: float, med: _media.MediumPair,
-                           m_eps: PolarizationTensor, m_mu: PolarizationTensor,
-                           convention: str = "classical") -> float:
-    """Optical-theorem extinction from the dipolar amplitude.
-
-    ``convention="classical"`` normalizes consistently with the far-field
-    convention E^s ~ -exp(ik|x|)/(4 pi |x|) A and agrees with the small-r
-    Mie extinction; ``"squared-weights"`` applies a +4 pi / k prefactor
-    instead (diagnostic variant, see the mie module).
+                           m_eps: PolarizationTensor, m_mu: PolarizationTensor) -> float:
+    """Optical-theorem extinction from the dipolar amplitude, normalized
+    consistently with the far-field convention E^s ~ -exp(ik|x|)/(4 pi |x|) A;
+    it agrees with the small-r Mie extinction.
     """
     p = np.asarray(p, dtype=float)
     if abs(float(np.dot(p, d.as_array()))) > 1e-12 * np.linalg.norm(p):
@@ -148,8 +144,4 @@ def extinction_quasistatic(d: Direction, p, omega: float, med: _media.MediumPair
     k_m, _ = _media.wavenumbers(med, omega)
     fwd = complex(np.dot(p, forward_amplitude(d, p, omega, med, m_eps, m_mu)))
     fwd /= float(np.dot(p, p))
-    if convention == "classical":
-        return -fwd.imag / k_m.real
-    if convention == "squared-weights":
-        return 4.0 * math.pi / k_m.real * fwd.imag
-    raise DomainError(f"unknown convention {convention!r}")
+    return -fwd.imag / k_m.real

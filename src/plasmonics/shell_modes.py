@@ -10,10 +10,7 @@ The leading-order matrix W0 couples the outer/inner surfaces pairwise, and
 its spectrum is ``{lambda_mu +/- L, lambda_eps +/- L}`` with
 ``L = shell_np_eigenvalue(n, rho)``, each eigenvalue of multiplicity two.
 Because W0 is non-symmetric, second-order coefficients are computed with the
-analytic left/right (biorthogonal) eigenvectors of the 2x2 coupling blocks;
-coefficient combinations built with plain Euclidean normalization (as if W0
-were symmetric) disagree with the assembled-matrix spectrum and are kept
-only as a diagnostic (``euclidean_second_order``).
+analytic left/right (biorthogonal) eigenvectors of the 2x2 coupling blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 from . import media as _media
 from . import sphere_modes as _sphere
 from .errors import DegeneracyError, DegenerateContrastError, DomainError
-from .sphere_modes import ResonanceReport, minimize_modulus
+from .sphere_modes import ResonanceReport
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,6 @@ def shell_coeffs(n: int, rho: float) -> ShellCoeffs:
     return ShellCoeffs(f=f, g=g, p=p, q=q, r=r, s=s, pt=pt, qt=qt, rt=rt, st=st)
 
 
-def shell_material_constants(med: _media.MediumPair):
-    """(C_mu, C_eps, D_mu, D_eps) for the shell material against the host."""
-    return _sphere.material_constants(med)
-
-
 def _pattern(c1: complex, c2: complex, c3: complex, c4: complex) -> np.ndarray:
     out = np.zeros((4, 4), dtype=complex)
     out[0, 3] = c1
@@ -157,7 +149,7 @@ def shell_blocks(n: int, rho: float, omega: float, med: _media.MediumPair) -> Sh
     p0 = np.diag([phat, -phat, phat, -phat]).astype(complex)
     q0 = rho**2 * np.diag([c.g, c.f, c.g, c.f]).astype(complex)
     r0 = np.diag([c.f, c.g, c.f, c.g]).astype(complex)
-    c_mu, c_eps, d_mu, d_eps = shell_material_constants(med)
+    c_mu, c_eps, d_mu, d_eps = _sphere.material_constants(med)
     p1 = omega * _pattern(c_mu * c.p, c_mu * c.q, c_eps * c.p, c_eps * c.q)
     q1 = omega * rho * _pattern(c_mu * c.pt, c_mu * c.qt, c_eps * c.pt, c_eps * c.qt)
     r1 = -omega / rho * _pattern(c_mu * c.pt, c_mu * c.qt, c_eps * c.pt, c_eps * c.qt)
@@ -284,7 +276,7 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float,
             if abs(gap) < 1e-8:
                 raise DegeneracyError("lambda_mu - lambda_eps -/+ 2L below tolerance",
                                       combination=f"lambda_mu - lambda_eps {'+' if s1 > 0 else '-'} 2L")
-        c_mu, c_eps, d_mu, d_eps = shell_material_constants(med)
+        c_mu, c_eps, d_mu, d_eps = _sphere.material_constants(med)
         lam = {"mu": lam_mu, "eps": lam_eps}
         branches = (1, 2, 3, 4, 5, 6, 7, 8)
         cross_limit = None
@@ -326,71 +318,6 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float,
     return out
 
 
-def euclidean_second_order(n: int, rho: float, med: _media.MediumPair) -> dict:
-    """Diagnostic: the Euclidean-normalized coefficient set (T_ij, K_i) and
-    the branch tau2 values they imply.  These disagree with the
-    assembled-matrix spectrum whenever the inner/outer coupling is asymmetric
-    (rho^2 g != f); use shell_degenerate_expansion for correct values."""
-    con = _media.contrasts(med)
-    if con.nonmagnetic:
-        raise DegenerateContrastError("euclidean coefficient set needs magnetic contrast")
-    c = shell_coeffs(n, rho)
-    phat = _sphere.half_np_eigenvalue(n)
-    L = shell_np_eigenvalue(n, rho)
-    c_mu, c_eps, d_mu, d_eps = shell_material_constants(med)
-    lam_mu, lam_eps = con.lambda_mu, con.lambda_eps
-    a1 = (L + phat) * c.q + rho * c.f * c.qt
-    a2 = (L - phat) * c.p + rho * c.g * c.pt
-    a3 = (-L + phat) * c.q + rho * c.f * c.qt
-    a4 = (-L - phat) * c.p + rho * c.g * c.pt
-    b1 = c.f * c.g * c.q + (L + phat) / rho * c.g * c.qt
-    b2 = c.f * c.g * c.p + (L - phat) / rho * c.f * c.pt
-    b3 = c.f * c.g * c.q + (-L + phat) / rho * c.g * c.qt
-    b4 = c.f * c.g * c.p + (-L - phat) / rho * c.f * c.pt
-    e1 = math.hypot(L + phat, c.f)
-    e2 = math.hypot(L - phat, c.g)
-    e3 = math.hypot(-L + phat, c.f)
-    e4 = math.hypot(L + phat, c.g)
-    e5, e6, e7, e8 = e1, e2, e3, e4
-    T = {
-        (1, 6): c_eps * ((L - phat) * a1 - b1) / (e1 * e6),
-        (1, 8): c_eps * ((-L - phat) * a1 - b1) / (e1 * e8),
-        (2, 5): c_eps * ((L + phat) * a2 - b2) / (e2 * e5),
-        (2, 7): c_eps * ((-L + phat) * a2 - b2) / (e2 * e7),
-        (3, 6): c_eps * ((L - phat) * a3 - b3) / (e3 * e6),
-        (3, 8): c_eps * ((-L - phat) * a3 - b3) / (e3 * e8),
-        (4, 5): c_eps * ((L + phat) * a4 - b4) / (e4 * e5),
-        (4, 7): c_eps * ((-L + phat) * a4 - b4) / (e4 * e7),
-    }
-    for (i, j), val in list(T.items()):
-        T[(j, i)] = (c_mu / c_eps) * val
-    K = {
-        1: d_mu * ((L + phat) * ((L + phat) * c.r + rho * c.f * c.rt)
-                   + c.f * ((L + phat) / rho * c.st - c.f * c.r)) / e1**2,
-        2: d_mu * (c.g * ((-L + phat) / rho * c.rt - c.g * c.s)
-                   + (L - phat) * ((L - phat) * c.s + rho * c.g * c.st)) / e2**2,
-        3: d_mu * ((-L + phat) * ((-L + phat) * c.r + rho * c.f * c.rt)
-                   + c.f * ((-L + phat) / rho * c.st - c.f * c.r)) / e3**2,
-        4: d_mu * (c.g * ((L + phat) / rho * c.rt - c.g * c.s)
-                   + (-L - phat) * ((-L - phat) * c.s + rho * c.g * c.st)) / e4**2,
-    }
-    for i in (1, 2, 3, 4):
-        K[i + 4] = (d_eps / d_mu) * K[i]
-    gmm = lam_mu - lam_eps
-    gme = lam_eps - lam_mu
-    tau2 = {
-        1: T[(1, 6)] * T[(6, 1)] / gmm + T[(1, 8)] * T[(8, 1)] / (gmm + 2 * L) + K[1],
-        2: T[(2, 5)] * T[(5, 2)] / gmm + T[(2, 7)] * T[(7, 2)] / (gmm + 2 * L) + K[2],
-        3: T[(3, 6)] * T[(6, 3)] / (gmm - 2 * L) + T[(3, 8)] * T[(8, 3)] / gmm + K[3],
-        4: T[(4, 5)] * T[(5, 4)] / (gmm - 2 * L) + T[(4, 7)] * T[(7, 4)] / gmm + K[4],
-        5: T[(5, 2)] * T[(2, 5)] / gme + T[(5, 4)] * T[(4, 5)] / (gme + 2 * L) + K[5],
-        6: T[(6, 1)] * T[(1, 6)] / gme + T[(6, 3)] * T[(3, 6)] / (gme + 2 * L) + K[6],
-        7: T[(7, 2)] * T[(2, 7)] / (gme - 2 * L) + T[(7, 4)] * T[(4, 7)] / gme + K[7],
-        8: T[(8, 1)] * T[(1, 8)] / (gme - 2 * L) + T[(8, 3)] * T[(3, 8)] / gme + K[8],
-    }
-    return {"T": T, "K": K, "tau2": tau2}
-
-
 #: eps branches continuing the solid-sphere eps families as rho -> 0
 #: (matched numerically on (tau0, tau2) at rho = 1e-3).  The branch whose
 #: leading term is lambda_eps + L resonates where lambda_eps = -L (the lower,
@@ -422,28 +349,12 @@ def shell_resonances(drude_shell: _media.DrudeParams, host: _media.MaterialPrese
             def tau_qs(w: float) -> complex:
                 return _media.contrasts(med_at(w)).lambda_eps + sgn * L
 
-            if order == "quasistatic":
-                tau = tau_qs
-            else:
-                def tau(w: float) -> complex:
-                    exp = {e.branch: e for e in
-                           shell_degenerate_expansion(n, geom.rho, w, med_at(w))}
-                    e = exp[branch]
-                    return e.tau0 + (geom.r_s * w) ** 2 * e.tau2_coeff
+            def tau(w: float) -> complex:
+                exp = {e.branch: e for e in
+                       shell_degenerate_expansion(n, geom.rho, w, med_at(w))}
+                e = exp[branch]
+                return e.tau0 + (geom.r_s * w) ** 2 * e.tau2_coeff
 
-            om_qs = minimize_modulus(tau_qs, omega_range, n_grid)
-            om_star = om_qs if order == "quasistatic" else minimize_modulus(tau, omega_range, n_grid)
-            if om_star is None or om_qs is None:
-                reports.append(ResonanceReport(
-                    omega_star=None, order=order, family=fam, n=n, tau_at_min=None,
-                    shift_from_quasistatic=math.nan, fwhm_estimate=None, found=False))
-                continue
-            tau_min = tau(om_star)
-            h = 1e-6 * om_star
-            dre = (tau(om_star + h).real - tau(om_star - h).real) / (2 * h)
-            fwhm = 2.0 * abs(tau_min.imag) / abs(dre) if dre != 0 else None
-            reports.append(ResonanceReport(
-                omega_star=om_star, order=order, family=fam, n=n, tau_at_min=tau_min,
-                shift_from_quasistatic=0.0 if order == "quasistatic" else om_star - om_qs,
-                fwhm_estimate=fwhm, found=True))
+            reports.append(_sphere.resonance_report(fam, n, order, tau_qs, tau,
+                                                    omega_range, n_grid))
     return reports

@@ -289,7 +289,9 @@ def _legendre_pi_tau(nmax: int, mabs: int, ct: float, st: float):
 
 def _angles(xhat: np.ndarray) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     ct = float(np.clip(xhat[2], -1.0, 1.0))
-    st = math.sqrt(max(0.0, 1.0 - ct * ct))
+    # hypot(x, y) keeps full relative precision near the poles, where
+    # sqrt(1 - ct^2) cancels
+    st = math.hypot(xhat[0], xhat[1])
     phi = math.atan2(xhat[1], xhat[0])
     cp, sp = math.cos(phi), math.sin(phi)
     theta_hat = np.array([ct * cp, ct * sp, -st])

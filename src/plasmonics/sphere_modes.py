@@ -156,17 +156,6 @@ def w_blocks(n: int, omega: float, med: _media.MediumPair) -> ModeBlock:
     return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
 
 
-def _tau2_table(n, lam_mu, lam_eps, c_mu, c_eps, d_mu, d_eps):
-    p, q, r, s = (float(c) for c in small_r_coeffs(n))
-    cc = c_eps * c_mu * p * q
-    return {
-        "mu+": cc / (lam_mu - lam_eps + p) + d_mu * r,
-        "mu-": cc / (lam_mu - lam_eps - p) + d_mu * s,
-        "eps+": cc / (lam_eps - lam_mu + p) + d_eps * r,
-        "eps-": cc / (lam_eps - lam_mu - p) + d_eps * s,
-    }
-
-
 def eigen_expansions(n: int, omega: float, med: _media.MediumPair) -> list[EigenExpansion]:
     """Eigenvalue/eigenvector expansions of the assembled system.
 
@@ -195,7 +184,18 @@ def eigen_expansions(n: int, omega: float, med: _media.MediumPair) -> list[Eigen
     if abs(lam_mu - lam_eps) < 1e-12:
         raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
     c_mu, c_eps, d_mu, d_eps = material_constants(med)
-    tau2 = _tau2_table(n, lam_mu, lam_eps, c_mu, c_eps, d_mu, d_eps)
+    for gap, sign in ((lam_mu - lam_eps + p, "+"), (lam_mu - lam_eps - p, "-")):
+        if abs(gap) < 1e-12:
+            raise DegeneracyError(
+                "perturbation denominator lambda_mu - lambda_eps -+ p_n vanishes",
+                combination=f"lambda_mu - lambda_eps {sign} p_n")
+    cc = c_eps * c_mu * p * q
+    tau2 = {
+        "mu+": cc / (lam_mu - lam_eps + p) + d_mu * r,
+        "mu-": cc / (lam_mu - lam_eps - p) + d_mu * s,
+        "eps+": cc / (lam_eps - lam_mu + p) + d_eps * r,
+        "eps-": cc / (lam_eps - lam_mu - p) + d_eps * s,
+    }
     tau0 = {"mu+": lam_mu + phat, "mu-": lam_mu - phat,
             "eps+": lam_eps + phat, "eps-": lam_eps - phat}
     mixing = {
@@ -206,11 +206,6 @@ def eigen_expansions(n: int, omega: float, med: _media.MediumPair) -> list[Eigen
     }
     out = []
     for i, fam in enumerate(FAMILIES):
-        for gap in (lam_mu - lam_eps + p, lam_mu - lam_eps - p):
-            if abs(gap) < 1e-12:
-                raise DegeneracyError(
-                    "perturbation denominator lambda_mu - lambda_eps -+ p_n vanishes",
-                    combination=fam)
         e0 = np.zeros(4, dtype=complex)
         e0[i] = 1.0
         partner, coef = mixing[fam]
@@ -279,19 +274,32 @@ def find_resonance(family: str, n: int, drude: _media.DrudeParams,
 
     ``order="quasistatic"`` minimizes the size-independent leading term;
     ``order="corrected"`` includes the (r*omega)^2 shift and reports the
-    frequency displacement relative to the quasistatic root.  The linewidth
-    estimate is the Lorentzian value ``2 |Im tau| / |d Re tau / d omega|`` at
-    the minimizer.
+    frequency displacement relative to the quasistatic root (see
+    ``resonance_report``).
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     if order not in ("quasistatic", "corrected"):
         raise DomainError(f"unknown order {order!r}")
-    tau_qs = _tau_function(family, n, drude, host, r, "quasistatic")
+    return resonance_report(
+        family, n, order, _tau_function(family, n, drude, host, r, "quasistatic"),
+        _tau_function(family, n, drude, host, r, "corrected"), omega_range, n_grid)
+
+
+def resonance_report(family: str, n: int, order: str, tau_qs, tau_corrected,
+                     omega_range: tuple[float, float], n_grid: int) -> ResonanceReport:
+    """Minimize |tau| and report the root, linewidth and quasistatic shift.
+
+    ``tau_qs`` and ``tau_corrected`` are the branch functions of the two
+    orders; the corrected one is used only for ``order="corrected"``.  The
+    report is not found when either minimizer lies on the grid edge.  The
+    linewidth estimate is the Lorentzian value ``2 |Im tau| / |d Re tau / d
+    omega|`` at the minimizer.
+    """
     om_qs = minimize_modulus(tau_qs, omega_range, n_grid)
-    tau = tau_qs if order == "quasistatic" else _tau_function(family, n, drude, host, r, "corrected")
+    tau = tau_qs if order == "quasistatic" else tau_corrected
     om_star = om_qs if order == "quasistatic" else minimize_modulus(tau, omega_range, n_grid)
-    if om_star is None or (order == "corrected" and om_qs is None):
+    if om_star is None or om_qs is None:
         return ResonanceReport(omega_star=None, order=order, family=family, n=n,
                                tau_at_min=None, shift_from_quasistatic=math.nan,
                                fwhm_estimate=None, found=False)

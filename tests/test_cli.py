@@ -77,7 +77,23 @@ class TestSpectrumCommand:
                   "--format", "json"])
         assert rc == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
-        assert len(payload["spectrum"]) == 5
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+        assert len(payload["spectrum"]) == len(rows) == 5
+        for entry, row in zip(payload["spectrum"], rows):
+            assert f"{entry['omega']:.17g},{entry['qext']:.17g}" == row
+
+    def test_shell_geometry_refused(self, tmp_path, capsys):
+        # no coated-sphere scattering yet: a sphere spectrum must not pass for a shell
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\ngeometry = shell\n[grid]\ncount = 5\n")
+        for args in (["--geometry", "shell"], ["--config", str(cfg)]):
+            out = tmp_path / args[0].lstrip("-")
+            rc = run(["spectrum", "--out", str(out), *args])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["type"] == "config"
+            assert "sphere" in err["error"]["message"]
+            assert not (out / "spectrum.csv").exists()
 
 
 class TestOtherCommands:

@@ -117,16 +117,6 @@ class TestExtinction:
                                              tuple(R @ p0)))
             assert abs(q - base) <= 1e-10 * abs(base)
 
-    def test_paper_display_variant_exists(self):
-        # retained for fidelity: same machinery, displayed weights/prefactor
-        med = media.MediumPair(1.0, 1.0, -2.0 + 0.4j, 1.0)
-        q = mie.extinction(mie.SphereGeometry(0.3), med, 1.0, _pw(),
-                           convention="squared-weights")
-        qc = mie.extinction(mie.SphereGeometry(0.3), med, 1.0, _pw())
-        assert q != qc
-        with pytest.raises(DomainError):
-            mie.extinction(mie.SphereGeometry(0.3), med, 1.0, _pw(), convention="x")
-
 
 class TestAmplitude:
     def test_zero_contrast(self):

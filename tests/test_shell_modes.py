@@ -193,21 +193,6 @@ class TestDegenerateExpansion:
             sh.shell_degenerate_expansion(1, 0.5, om, med)
         assert err.value.combination is not None
 
-    def test_euclidean_coefficients_diagnostic(self):
-        # the Euclidean-normalized coefficient combination disagrees with the
-        # assembled-matrix spectrum; the derived values are the correct ones
-        om = 0.6
-        med = _magnetic_medium(om)
-        euc = sh.euclidean_second_order(1, 0.5, med)
-        derived = {e.branch: e.tau2_coeff for e in sh.shell_degenerate_expansion(1, 0.5, om, med)}
-        # internal symmetry relations of the set hold exactly
-        c_mu, c_eps, d_mu, d_eps = sh.shell_material_constants(med)
-        assert abs(euc["K"][5] - (d_eps / d_mu) * euc["K"][1]) < 1e-14
-        assert abs(euc["T"][(5, 2)] - (c_mu / c_eps) * euc["T"][(2, 5)]) < 1e-14
-        # and the discrepancy against the oracle-validated values is real
-        diffs = [abs(euc["tau2"][b] - derived[b]) for b in range(1, 9)]
-        assert max(diffs) > 1e-3
-
 
 class TestShellResonances:
     def test_quasistatic_pair_roots(self):
@@ -238,6 +223,19 @@ class TestShellResonances:
         sp_minus = sm.find_resonance("eps-", 1, drude, host, 0.3, "corrected")
         assert abs(reps["bonding"].omega_star - sp_plus.omega_star) < 1e-6
         assert abs(reps["antibonding"].omega_star - sp_minus.omega_star) < 1e-6
+
+    @pytest.mark.parametrize("order", ["quasistatic", "corrected"])
+    def test_no_root_in_range(self, order):
+        # every n <= 2 root of the rho = 0.5 shell lies below 0.9
+        drude = media.DrudeParams(1.0, 1.0, 0.0)
+        host = media.MaterialPreset(drude)
+        reps = sh.shell_resonances(drude, host, sh.ShellGeometry(0.1, 0.5), order,
+                                   omega_range=(0.9, 0.99))
+        assert len(reps) == 4
+        for r in reps:
+            assert not r.found and r.order == order
+            assert r.omega_star is None and r.tau_at_min is None and r.fwhm_estimate is None
+            assert math.isnan(r.shift_from_quasistatic)
 
     def test_geometry_validation(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmonics import specfun
@@ -168,6 +168,7 @@ class TestHarmonics:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6),
            vx=st.floats(-1, 1), vy=st.floats(-1, 1), vz=st.floats(-1, 1))
+    @example(n=2, vx=0.0, vy=5.96e-8, vz=0.75)  # near the pole sqrt(1 - ct^2) cancels
     def test_tangency(self, n, vx, vy, vz):
         v = np.array([vx, vy, vz])
         if np.linalg.norm(v) < 1e-3:

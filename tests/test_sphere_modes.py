@@ -127,6 +127,19 @@ class TestWBlocks:
 
 
 class TestEigenExpansions:
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_vanishing_gap_refused(self, sign):
+        # engineer lambda_mu = lambda_eps -+ p_1; the "-" case makes the gap
+        # exactly zero, which must raise the typed error, not divide by it
+        om = 0.6
+        eps_c = media.drude_permittivity(media.DrudeParams(1.0, 1.0, 0.0), om)
+        lam_eps = media.contrasts(media.MediumPair(1.0, 1.0, eps_c, 2.0)).lambda_eps
+        target = lam_eps + (1.0 / 3.0 if sign == "-" else -1.0 / 3.0)
+        mu_c = (2 * target - 1) / (2 * target + 1)
+        with pytest.raises(DegeneracyError) as err:
+            sm.eigen_expansions(1, om, media.MediumPair(1.0, 1.0, eps_c, mu_c))
+        assert err.value.combination == f"lambda_mu - lambda_eps {sign} p_n"
+
     def test_tau1_zero_and_completeness(self):
         med = _magnetic_medium()
         for n in (1, 2, 3):
