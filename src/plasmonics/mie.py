@@ -65,9 +65,6 @@ class ScatterCoeffs:
     s_tm: np.ndarray
     flagged: list[int] = field(default_factory=list)
 
-    def pair(self, n: int) -> tuple[complex, complex]:
-        return complex(self.s_te[n]), complex(self.s_tm[n])
-
 
 @dataclass(frozen=True)
 class Peak:
@@ -148,14 +145,12 @@ def _amplitude_from_coeffs(coeffs: ScatterCoeffs, med: _media.MediumPair, omega:
     _, Ud, Vd = specfun.harmonics_all(coeffs.n_max, pw.direction)
     _, Ux, Vx = specfun.harmonics_all(coeffs.n_max, xhat)
     pref = (4.0 * math.pi) ** 2 / k_m
-    A = np.zeros(3, dtype=complex)
-    for n in range(1, coeffs.n_max + 1):
-        ste, stm = coeffs.pair(n)
-        for m in range(-n, n + 1):
-            wte = np.dot(np.conj(Vd[(n, m)]), p)
-            wtm = np.dot(np.conj(Ud[(n, m)]), p)
-            A += pref * 1j * (ste * wte * Vx[(n, m)] + stm * wtm * Ux[(n, m)])
-    return A
+    # packed rows run over n = 1..n_max and m = -n..n; deg[row] is n
+    n = np.arange(1, coeffs.n_max + 1)
+    deg = np.repeat(n, 2 * n + 1)
+    wte = coeffs.s_te[deg] * (np.conj(Vd) @ p)
+    wtm = coeffs.s_tm[deg] * (np.conj(Ud) @ p)
+    return (pref * 1j * (wte[:, None] * Vx + wtm[:, None] * Ux)).sum(axis=0)
 
 
 def plane_wave_amplitude(geom: SphereGeometry, med: _media.MediumPair, omega: float,

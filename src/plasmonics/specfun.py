@@ -12,11 +12,17 @@ primitives.  Conventions:
   Condon-Shortley phase, and satisfy ``conj(Y[n, m]) == Y[n, -m]``.
 * ``U[n, m]`` is the normalized surface gradient of ``Y[n, m]`` and
   ``V[n, m] = xhat x U[n, m]``; both are tangential by construction.
+* ``harmonics_all`` packs the modes 1 <= n <= nmax, |m| <= n into rows of
+  arrays: mode (n, m) sits in row ``mode_row(n, m) = n*n + n + m - 1``, so
+  degree n fills the contiguous rows n*n - 1 .. n*n + 2n - 1 in increasing m.
+  Results are cached per (nmax, direction) and returned read-only, because
+  the same arrays are handed to every caller.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,6 +61,10 @@ class Direction:
     z: float
 
     def __post_init__(self):
+        # -0.0 == 0.0 and both hash alike, so cached harmonics would depend on
+        # which sign was seen first; store the canonical +0.0
+        for axis in ("x", "y", "z"):
+            object.__setattr__(self, axis, getattr(self, axis) + 0.0)
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"direction must be a unit vector, |v| = {norm!r}")
@@ -299,17 +309,27 @@ def _angles(xhat: np.ndarray) -> tuple[float, float, float, np.ndarray, np.ndarr
     return ct, st, phi, theta_hat, phi_hat
 
 
+def mode_row(n: int, m: int) -> int:
+    """Row of mode (n, m) in the packed arrays returned by ``harmonics_all``."""
+    return n * n + n + m - 1
+
+
+@functools.lru_cache(maxsize=32)
 def harmonics_all(nmax: int, xhat: Direction):
     """Evaluate Y, U, V for all modes n <= nmax at one direction.
 
-    Returns three dicts keyed by (n, m): complex scalars Y and complex
-    3-vectors U, V (Cartesian components).
+    Returns three packed, read-only complex arrays: ``Y`` of shape (K,) and
+    ``U``, ``V`` of shape (K, 3) (Cartesian components), K = nmax(nmax+2),
+    with mode (n, m) in row ``mode_row(n, m)``.  Results are cached for the
+    32 most recent (nmax, direction) pairs; a spectrum scan asks for the same
+    incident and forward directions at every frequency.
     """
     x = xhat.as_array()
     ct, st, phi, th, ph = _angles(x)
-    Y: dict[tuple[int, int], complex] = {}
-    U: dict[tuple[int, int], np.ndarray] = {}
-    V: dict[tuple[int, int], np.ndarray] = {}
+    size = nmax * (nmax + 2)
+    Y = np.empty(size, dtype=complex)
+    U = np.empty((size, 3), dtype=complex)
+    V = np.empty((size, 3), dtype=complex)
     for mabs in range(0, nmax + 1):
         p, pi, tau = _legendre_pi_tau(nmax, mabs, ct, st)
         for n in range(max(1, mabs), nmax + 1):
@@ -317,14 +337,14 @@ def harmonics_all(nmax: int, xhat: Direction):
             for sign in ((1,) if mabs == 0 else (1, -1)):
                 m = sign * mabs
                 eimp = cmath.exp(1j * m * phi)
-                y = p[n] * eimp
                 # pi(m) = sign * pi(|m|), tau(m) = tau(|m|)
                 pim = sign * pi[n]
-                u = scale * eimp * (tau[n] * th + 1j * pim * ph)
-                v = scale * eimp * (tau[n] * ph - 1j * pim * th)
-                Y[(n, m)] = y
-                U[(n, m)] = u
-                V[(n, m)] = v
+                row = mode_row(n, m)
+                Y[row] = p[n] * eimp
+                U[row] = scale * eimp * (tau[n] * th + 1j * pim * ph)
+                V[row] = scale * eimp * (tau[n] * ph - 1j * pim * th)
+    for arr in (Y, U, V):
+        arr.flags.writeable = False
     return Y, U, V
 
 
@@ -335,7 +355,8 @@ def harmonics(idx: ModeIndex, xhat: Direction, conjugate: bool = False):
     phase convention here equals the mode ``(n, -m)``.
     """
     Y, U, V = harmonics_all(idx.n, xhat)
-    y, u, v = Y[(idx.n, idx.m)], U[(idx.n, idx.m)], V[(idx.n, idx.m)]
+    row = mode_row(idx.n, idx.m)
+    y, u, v = Y[row], U[row], V[row]
     if conjugate:
         return np.conj(y), np.conj(u), np.conj(v)
     return y, u, v

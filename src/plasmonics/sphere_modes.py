@@ -19,6 +19,7 @@ eps_m``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,9 +78,11 @@ class ResonanceReport:
     found: bool
 
 
+@functools.lru_cache(maxsize=None)
 def small_r_coeffs(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact rational coefficients (p_n, q_n, r_n, s_n) of the small-radius
-    Bessel-product expansions."""
+    Bessel-product expansions, cached per n: every tau evaluation of a
+    resonance search asks for the same few degrees."""
     if n < 1:
         raise DomainError("small_r_coeffs requires n >= 1")
     p = Fraction(1, 2 * n + 1)

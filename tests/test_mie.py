@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from plasmonics import media, mie
+from plasmonics import media, mie, specfun
 from plasmonics.errors import DomainError
-from plasmonics.specfun import Direction
+from plasmonics.specfun import Direction, ModeIndex
 
 from _oracles import classical_mie_coeffs, classical_mie_extinction
 
@@ -14,6 +14,12 @@ def _pw(d=None, p=None):
     d = Direction(0.0, 0.0, 1.0) if d is None else d
     p = (1.0, 0.0, 0.0) if p is None else p
     return mie.PlaneWave(d, p)
+
+
+def _oblique_pw():
+    d = Direction.from_vector([0.3, -0.2, 0.93])
+    p = np.cross(d.as_array(), [0.0, 0.0, 1.0])
+    return mie.PlaneWave(d, tuple(p / np.linalg.norm(p)))
 
 
 def _drude_medium(omega, gamma=0.05, eps_m=1.0):
@@ -98,6 +104,19 @@ class TestExtinction:
         q2 = mie.extinction(geom, med, 1.0, _pw(), n_max=base + 4)
         assert abs(q1 - q2) <= 1e-12 * abs(q1)
 
+    @pytest.mark.parametrize("r, mu_c", [(0.05, 1.0), (1.0, 1.0), (10.0, 1.0), (1.0, 1.3)])
+    def test_classical_coefficient_sum(self, r, mu_c):
+        # C_ext = (2 pi / k^2) sum (2n+1) Re(a_n + b_n), a_n = -S_n^TM, b_n = -S_n^TE
+        med = media.MediumPair(1.0, 1.0, -2.0 + 0.4j, mu_c)
+        geom = mie.SphereGeometry(r)
+        c = mie.scattering_coeffs(geom, med, 1.0)
+        k_m, _ = media.wavenumbers(med, 1.0)
+        n = np.arange(1, c.n_max + 1)
+        ref = 2.0 * math.pi / k_m.real**2 * np.sum((2 * n + 1) * (-c.s_tm[1:] - c.s_te[1:]).real)
+        for pw in (_pw(), _oblique_pw()):
+            q = mie.extinction(geom, med, 1.0, pw)
+            assert abs(q - ref) <= 1e-13 * abs(ref)
+
     def test_rotation_invariance(self):
         med = media.MediumPair(1.0, 1.0, -2.0 + 0.4j, 1.3)
         geom = mie.SphereGeometry(0.8)
@@ -144,6 +163,50 @@ class TestAmplitude:
                                     om, med, m_eps, m_mu)
         rel = np.max(np.abs(a_mie - a_qs)) / np.max(np.abs(a_qs))
         assert rel <= 5 * abs(om * r)
+
+
+def _mode_terms(geom, med, omega, pw, xhat):
+    # per-mode terms of the amplitude series, one harmonics() call per mode
+    c = mie.scattering_coeffs(geom, med, omega)
+    k_m, _ = media.wavenumbers(med, omega)
+    p = pw.p_vector()
+    terms = {}
+    for n in range(1, c.n_max + 1):
+        for m in range(-n, n + 1):
+            _, ud, vd = specfun.harmonics(ModeIndex(n, m), pw.direction)
+            _, ux, vx = specfun.harmonics(ModeIndex(n, m), xhat)
+            wte = np.dot(np.conj(vd), p)
+            wtm = np.dot(np.conj(ud), p)
+            terms[(n, m)] = (4.0 * math.pi) ** 2 / k_m * 1j * (c.s_te[n] * wte * vx
+                                                               + c.s_tm[n] * wtm * ux)
+    return terms
+
+
+class TestModeSum:
+    """The packed amplitude contraction against a per-mode reference loop."""
+
+    @pytest.mark.parametrize("r", [0.05, 1.0, 10.0])
+    def test_off_forward_every_mode(self, r):
+        med = media.MediumPair(1.0, 1.0, -2.0 + 0.4j, 1.3)
+        geom = mie.SphereGeometry(r)
+        pw = _oblique_pw()
+        xhat = Direction.from_vector([0.5, 0.4, -0.76])
+        terms = _mode_terms(geom, med, 1.0, pw, xhat)
+        assert all(np.any(t != 0) for t in terms.values())
+        ref = sum(terms.values())
+        a = mie.plane_wave_amplitude(geom, med, 1.0, pw, xhat)
+        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_forward_only_m_pm1(self):
+        med = media.MediumPair(1.0, 1.0, -2.0 + 0.4j, 1.0)
+        geom = mie.SphereGeometry(1.0)
+        pw = _pw()
+        terms = _mode_terms(geom, med, 1.0, pw, pw.direction)
+        assert {nm for nm, t in terms.items() if np.any(t != 0)} == \
+            {(n, m) for n, m in terms if abs(m) == 1}
+        ref = sum(terms.values())
+        a = mie.plane_wave_amplitude(geom, med, 1.0, pw, pw.direction)
+        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestScan:

@@ -197,12 +197,52 @@ class TestHarmonics:
         for a in modes:
             for b in modes:
                 want = 1.0 if a == b else 0.0
-                yy = sum(wi * h[0][a] * np.conj(h[0][b]) for wi, h in zip(w, hs))
-                uu = sum(wi * np.dot(h[1][a], np.conj(h[1][b])) for wi, h in zip(w, hs))
-                uv = sum(wi * np.dot(h[1][a], np.conj(h[2][b])) for wi, h in zip(w, hs))
+                ra, rb = specfun.mode_row(*a), specfun.mode_row(*b)
+                yy = sum(wi * h[0][ra] * np.conj(h[0][rb]) for wi, h in zip(w, hs))
+                uu = sum(wi * np.dot(h[1][ra], np.conj(h[1][rb])) for wi, h in zip(w, hs))
+                uv = sum(wi * np.dot(h[1][ra], np.conj(h[2][rb])) for wi, h in zip(w, hs))
                 assert abs(yy - want) < 1e-10
                 assert abs(uu - want) < 1e-10
                 assert abs(uv) < 1e-10
+
+    @pytest.mark.parametrize("v", [[0.3, -0.5, 0.81], [0.0, 0.0, 1.0], [-0.6, 0.0, -0.8]])
+    def test_packed_rows_match_harmonics(self, v):
+        nmax = 5
+        d = Direction.from_vector(v)
+        Y, U, V = specfun.harmonics_all(nmax, d)
+        size = nmax * (nmax + 2)
+        assert Y.shape == (size,) and U.shape == (size, 3) and V.shape == (size, 3)
+        rows = [specfun.mode_row(n, m) for n in range(1, nmax + 1) for m in range(-n, n + 1)]
+        assert rows == list(range(size))
+        for n in range(1, nmax + 1):
+            for m in range(-n, n + 1):
+                y, u, w = specfun.harmonics(ModeIndex(n, m), d)
+                row = specfun.mode_row(n, m)
+                assert Y[row] == y
+                assert np.array_equal(U[row], u) and np.array_equal(V[row], w)
+
+    def test_packed_arrays_read_only(self):
+        d = Direction.from_vector([0.3, -0.5, 0.81])
+        Y, U, V = specfun.harmonics_all(3, d)
+        _, u, _ = specfun.harmonics(ModeIndex(2, 1), d)
+        for arr in (Y, U, V, u):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("neg, pos", [((-0.0, 0.6, 0.8), (0.0, 0.6, 0.8)),
+                                          ((-0.6, -0.0, 0.8), (-0.6, 0.0, 0.8))])
+    def test_signed_zero_cache_order(self, neg, pos):
+        # -0.0 and 0.0 directions compare equal, so they share a cache entry;
+        # the result must not depend on which one was evaluated first
+        def evaluate(order):
+            specfun.harmonics_all.cache_clear()
+            return [specfun.harmonics_all(4, Direction(*v)) for v in order]
+
+        runs = evaluate([neg, pos]) + evaluate([pos, neg])
+        first = [a.tobytes() for a in runs[0]]
+        for h in runs[1:]:
+            assert [a.tobytes() for a in h] == first
+        assert Direction(*neg).as_array().tobytes() == Direction(*pos).as_array().tobytes()
 
     def test_u21_normalized(self):
         pts, w = specfun.sphere_quadrature(8)

@@ -1,0 +1,62 @@
+"""Hash every CLI artifact of seeds 0-3 of every benchmark workload.
+
+    python3 tools/artifact_hashes.py --out hashes.json       (from the root of a checkout)
+    python3 tools/artifact_hashes.py --compare hashes.json
+
+Each job of ``perfbench/workloads.build(workload, seed)`` runs once through
+``plasmonics.cli.main`` in a temporary directory, with the library imported
+from the checkout's ``src``.  ``--out`` writes the sha256 of every artifact;
+``--compare`` reports the jobs whose artifacts differ from a saved file and
+exits 1 if any do, so a refactor proves byte-identity against its parent by
+running ``--out`` in the parent's checkout and ``--compare`` in its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = range(4)
+
+
+def artifact_hashes(root: Path) -> dict:
+    sys.path.insert(0, str(root / "perfbench"))
+    import run as bench
+    import workloads
+
+    cli = bench.load_library(root)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                jobs = workloads.build(workload, seed)
+                result = bench.Workspace(Path(tmp) / f"{workload}-{seed}", jobs).run_pass(cli)
+                for job, rc, digest in zip(jobs, result["rcs"], bench.hashes(result["arts"])):
+                    out[f"{workload}/{seed}/{job.name}"] = {"rc": rc, "files": digest}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="write the hashes to this JSON file")
+    mode.add_argument("--compare", type=Path, help="compare the hashes with this JSON file")
+    args = ap.parse_args(argv)
+    got = artifact_hashes(Path.cwd())
+    if args.out:
+        args.out.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        print(f"{len(got)} jobs hashed")
+        return 0
+    want = json.loads(args.compare.read_text())
+    differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(differ)} of {len(want.keys() | got.keys())} jobs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
