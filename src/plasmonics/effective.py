@@ -181,7 +181,7 @@ def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarra
     path_vals = np.linalg.eigvalsh((geo + geo.conj().T) / 2.0)
     results = []
     for pv in path_vals:
-        def tau(w: float) -> complex:
+        def tau(w: float | np.ndarray) -> complex | np.ndarray:
             eps_c = _media.drude_permittivity(drude, w)
             tau0 = (eps_m + eps_c) / 2.0 + (eps_m - eps_c) * lam_n
             return tau0 + delta * eps_c * pv

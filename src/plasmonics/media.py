@@ -11,7 +11,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DegenerateContrastError, DomainError
+
+# bound once: the guards below run on every scalar call
+_ndarray = np.ndarray
+
+
+def any_of(cond) -> bool:
+    """Whether a guard's comparison holds at any element.
+
+    A scalar comparison is returned as it is and an array one is reduced with
+    ``.any()``, so one guard serves a scalar frequency and a whole grid.
+    ``np.any`` would serve both, but costs microseconds on every scalar call.
+    """
+    return cond.any() if isinstance(cond, _ndarray) else cond
+
+
+def all_of(cond) -> bool:
+    """Whether a guard's comparison holds at every element; see ``any_of``."""
+    return cond.all() if isinstance(cond, _ndarray) else cond
+
 
 #: Neumann-Poincare eigenvalue of the unit ball for harmonic degree n >= 1.
 def ball_np_eigenvalue(n: int) -> float:
@@ -54,11 +75,16 @@ class DrudeParams:
 
 @dataclass(frozen=True)
 class MediumPair:
-    """Host (m) and particle (c) permittivity/permeability at one frequency."""
+    """Host (m) and particle (c) permittivity/permeability at one frequency.
 
-    eps_m: complex
+    ``eps_c`` and ``eps_m`` may also be arrays over a frequency grid, as the
+    resonance searches pass them; the permeabilities stay scalars, so
+    ``nonmagnetic`` is one bool for the whole grid.
+    """
+
+    eps_m: complex | np.ndarray
     mu_m: complex
-    eps_c: complex
+    eps_c: complex | np.ndarray
     mu_c: complex
 
     @property
@@ -71,7 +97,7 @@ class Contrasts:
     """Mobius-transformed contrasts; ``lambda_mu`` is None for nonmagnetic
     pairs (the magnetic contrast diverges as mu_c -> mu_m)."""
 
-    lambda_eps: complex
+    lambda_eps: complex | np.ndarray
     lambda_mu: complex | None
 
     @property
@@ -79,9 +105,14 @@ class Contrasts:
         return self.lambda_mu is None
 
 
-def drude_permittivity(p: DrudeParams, omega: float) -> complex:
-    """Drude permittivity at ``omega > 0``; Im >= 0 whenever gamma_damp >= 0."""
-    if omega <= 0:
+def drude_permittivity(p: DrudeParams, omega: float | np.ndarray) -> complex | np.ndarray:
+    """Drude permittivity at ``omega > 0``; Im >= 0 whenever gamma_damp >= 0.
+
+    ``omega`` is a float or an array of them; the result is a complex or a
+    complex array of the same shape.  A NaN frequency is refused like a
+    nonpositive one.
+    """
+    if not all_of(omega > 0):
         raise DomainError("drude_permittivity requires omega > 0")
     return p.eps_inf - p.omega_p**2 / (omega * (omega + 1j * p.gamma_damp))
 
@@ -89,10 +120,12 @@ def drude_permittivity(p: DrudeParams, omega: float) -> complex:
 def contrasts(m: MediumPair) -> Contrasts:
     """Both contrast parameters of a medium pair.
 
-    Raises DegenerateContrastError when eps_c == eps_m; reports the magnetic
-    contrast as the nonmagnetic sentinel (None) when mu_c == mu_m.
+    Raises DegenerateContrastError when eps_c == eps_m (at any element, for
+    array permittivities); reports the magnetic contrast as the nonmagnetic
+    sentinel (None) when mu_c == mu_m.  ``lambda_eps`` is a complex, or a
+    complex array when ``eps_c`` or ``eps_m`` is one.
     """
-    if m.eps_c == m.eps_m:
+    if any_of(m.eps_c == m.eps_m):
         raise DegenerateContrastError("eps_c == eps_m leaves lambda_eps undefined")
     lam_eps = (m.eps_c + m.eps_m) / (2.0 * (m.eps_m - m.eps_c))
     if m.nonmagnetic:

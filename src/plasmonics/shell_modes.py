@@ -87,10 +87,10 @@ class DegenExpansion:
 
     branch: int
     n: int
-    tau0: complex
+    tau0: complex | np.ndarray
     tau1: complex
-    tau2_coeff: complex
-    mixing: tuple[tuple[int, complex], ...]
+    tau2_coeff: complex | np.ndarray
+    mixing: tuple[tuple[int, complex | np.ndarray], ...]
 
 
 def shell_np_eigenvalue(n: int, rho: float) -> float:
@@ -245,7 +245,7 @@ def _intermediates(branch: int) -> tuple[int, int]:
     return tuple(b for b, (pa, _, _) in _BRANCH_DEF.items() if pa == target)
 
 
-def shell_degenerate_expansion(n: int, rho: float, omega: float,
+def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
                                med: _media.MediumPair) -> list[DegenExpansion]:
     """The eight second-order eigenvalue branches of the assembled system.
 
@@ -254,6 +254,12 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float,
     basis, so the degenerate pairs split cleanly and the O(r_s) term vanishes
     identically).  For nonmagnetic media only branches 5..8 are returned,
     with cross terms evaluated in the exact mu_s -> mu_m limit.
+
+    ``omega`` and the medium's permittivities may be arrays over a frequency
+    grid; ``tau0``, ``tau2_coeff`` and the mixing coefficients are then
+    arrays of the same shape.  A degenerate grid point raises the error a
+    scalar call raises there (if several points are degenerate in different
+    ways, the order of the checks picks which).
     """
     con = _media.contrasts(med)
     right, left, norm, L, phat, c = _pair_vectors(n, rho)
@@ -268,12 +274,12 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float,
         cross_limit = med.eps_m - med.eps_c   # lim C_mu / (tau_eps - tau_mu)
     else:
         lam_mu = con.lambda_mu
-        if abs(lam_mu - lam_eps) < 1e-8:
+        if _media.any_of(abs(lam_mu - lam_eps) < 1e-8):
             raise DegeneracyError("lambda_mu - lambda_eps below tolerance",
                                   combination="lambda_mu - lambda_eps")
         for s1 in (+1, -1):
             gap = lam_mu - lam_eps + 2 * s1 * L
-            if abs(gap) < 1e-8:
+            if _media.any_of(abs(gap) < 1e-8):
                 raise DegeneracyError("lambda_mu - lambda_eps -/+ 2L below tolerance",
                                       combination=f"lambda_mu - lambda_eps {'+' if s1 > 0 else '-'} 2L")
         c_mu, c_eps, d_mu, d_eps = _sphere.material_constants(med)
@@ -281,7 +287,7 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float,
         branches = (1, 2, 3, 4, 5, 6, 7, 8)
         cross_limit = None
 
-    def tau0_of(b: int) -> complex:
+    def tau0_of(b: int) -> complex | np.ndarray:
         a, sgn, sector = _BRANCH_DEF[b]
         return lam[sector] + sgn * L
 
@@ -340,16 +346,16 @@ def shell_resonances(drude_shell: _media.DrudeParams, host: _media.MaterialPrese
         L = shell_np_eigenvalue(n, geom.rho)
         for branch, sgn, fam in _EPS_BRANCHES:
 
-            def med_at(w: float) -> _media.MediumPair:
+            def med_at(w: float | np.ndarray) -> _media.MediumPair:
                 return _media.MediumPair(
                     eps_m=complex(host.eps_m), mu_m=complex(host.mu_m),
                     eps_c=_media.drude_permittivity(drude_shell, w),
                     mu_c=complex(host.mu_c))
 
-            def tau_qs(w: float) -> complex:
+            def tau_qs(w: float | np.ndarray) -> complex | np.ndarray:
                 return _media.contrasts(med_at(w)).lambda_eps + sgn * L
 
-            def tau(w: float) -> complex:
+            def tau(w: float | np.ndarray) -> complex | np.ndarray:
                 exp = {e.branch: e for e in
                        shell_degenerate_expansion(n, geom.rho, w, med_at(w))}
                 e = exp[branch]

@@ -66,7 +66,8 @@ class Direction:
         for axis in ("x", "y", "z"):
             object.__setattr__(self, axis, getattr(self, axis) + 0.0)
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > 1e-12:
+        # written so that a NaN norm fails the check too
+        if not abs(norm - 1.0) <= 1e-12:
             raise DomainError(f"direction must be a unit vector, |v| = {norm!r}")
 
     @classmethod

@@ -58,11 +58,11 @@ class EigenExpansion:
 
     family: str
     n: int
-    tau0: complex
+    tau0: complex | np.ndarray
     tau1: complex
-    tau2_coeff: complex
+    tau2_coeff: complex | np.ndarray
     eigvec0: np.ndarray | None
-    eigvec1_coeff: complex | None
+    eigvec1_coeff: complex | np.ndarray | None
     partner: int | None
 
 
@@ -119,10 +119,11 @@ def boundary_matrices(n: int, k: complex, r: float) -> tuple[np.ndarray, np.ndar
 
 
 def material_constants(med: _media.MediumPair) -> tuple[complex, complex, complex, complex]:
-    """(C_mu, C_eps, D_mu, D_eps) entering the first/second-order blocks."""
+    """(C_mu, C_eps, D_mu, D_eps) entering the first/second-order blocks;
+    complex arrays when the medium's permittivities are arrays."""
     if med.mu_c == med.mu_m:
         raise DegenerateContrastError("magnetic constants undefined for mu_c == mu_m")
-    if med.eps_c == med.eps_m:
+    if _media.any_of(med.eps_c == med.eps_m):
         raise DegenerateContrastError("electric constants undefined for eps_c == eps_m")
     num = med.mu_c * med.eps_c - med.mu_m * med.eps_m
     c_mu = num / (med.mu_m - med.mu_c)
@@ -159,12 +160,19 @@ def w_blocks(n: int, omega: float, med: _media.MediumPair) -> ModeBlock:
     return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
 
 
-def eigen_expansions(n: int, omega: float, med: _media.MediumPair) -> list[EigenExpansion]:
+def eigen_expansions(n: int, omega: float | np.ndarray,
+                     med: _media.MediumPair) -> list[EigenExpansion]:
     """Eigenvalue/eigenvector expansions of the assembled system.
 
     Magnetic media yield the four families with first-order eigenvector
     mixing; nonmagnetic media yield the two eps families with the exact
     mu_c -> mu_m limit of the second-order coefficient.
+
+    ``omega`` and the medium's permittivities may be arrays over a frequency
+    grid; the ``tau0``, ``tau2_coeff`` and ``eigvec1_coeff`` fields are then
+    arrays of the same shape.  A degenerate grid point raises the error a
+    scalar call raises there (if several points are degenerate in different
+    ways, the order of the checks picks which).
     """
     p, q, r, s = (float(c) for c in small_r_coeffs(n))
     phat = half_np_eigenvalue(n)
@@ -184,11 +192,11 @@ def eigen_expansions(n: int, omega: float, med: _media.MediumPair) -> list[Eigen
                 eigvec0=None, eigvec1_coeff=None, partner=None))
         return out
     lam_mu = con.lambda_mu
-    if abs(lam_mu - lam_eps) < 1e-12:
+    if _media.any_of(abs(lam_mu - lam_eps) < 1e-12):
         raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
     c_mu, c_eps, d_mu, d_eps = material_constants(med)
     for gap, sign in ((lam_mu - lam_eps + p, "+"), (lam_mu - lam_eps - p, "-")):
-        if abs(gap) < 1e-12:
+        if _media.any_of(abs(gap) < 1e-12):
             raise DegeneracyError(
                 "perturbation denominator lambda_mu - lambda_eps -+ p_n vanishes",
                 combination=f"lambda_mu - lambda_eps {sign} p_n")
@@ -240,13 +248,19 @@ def minimize_modulus(f, omega_range: tuple[float, float], n_grid: int = 200,
                      tol: float = 1e-10) -> float | None:
     """Bracketed golden-section minimizer of |f(omega)| over a coarse grid.
 
-    Returns None when no interior minimum exists on the grid.
+    ``f`` must accept an array: it is called once with the whole coarse grid
+    (an ndarray of ``n_grid`` frequencies) and must return the values there
+    elementwise, or one value if it does not depend on omega; the
+    golden-section refinement then calls it with scalars only.  Returns None
+    when no interior minimum exists on the grid, as for a constant ``f``.
     """
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise DomainError("omega_range must satisfy 0 < lo < hi")
+    if n_grid < 3:
+        raise DomainError("n_grid must be at least 3 to bracket an interior minimum")
     grid = np.linspace(lo, hi, n_grid)
-    vals = np.array([abs(f(w)) for w in grid])
+    vals = np.abs(f(grid))
     i = int(np.argmin(vals))
     if i == 0 or i == n_grid - 1:
         return None
@@ -255,7 +269,7 @@ def minimize_modulus(f, omega_range: tuple[float, float], n_grid: int = 200,
 
 def _tau_function(family: str, n: int, drude: _media.DrudeParams, host: _media.MaterialPreset,
                   r: float, order: str):
-    def tau(w: float) -> complex:
+    def tau(w: float | np.ndarray) -> complex | np.ndarray:
         med = _media.MediumPair(eps_m=complex(host.eps_m), mu_m=complex(host.mu_m),
                                 eps_c=_media.drude_permittivity(drude, w),
                                 mu_c=complex(host.mu_c))

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,30 @@ class TestDrude:
         with pytest.raises(DomainError):
             media.DrudeParams(1.0, 1.0, -0.1)
 
+    def test_nan_refused(self):
+        p = media.DrudeParams(1.0, 1.0, 0.02)
+        with pytest.raises(DomainError):
+            media.drude_permittivity(p, math.nan)
+        with pytest.raises(DomainError):
+            media.drude_permittivity(p, np.array([0.3, math.nan, 0.6]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.2])
+    def test_array_domain(self, bad):
+        p = media.DrudeParams(1.0, 1.0, 0.02)
+        with pytest.raises(DomainError):
+            media.drude_permittivity(p, np.array([0.3, bad, 0.6]))
+
+    def test_array_matches_scalar(self):
+        # numpy's complex division is not Python's, so the two differ in
+        # the last bits only
+        p = media.DrudeParams(1.3, 1.1, 0.05)
+        grid = np.linspace(0.05, 2.0, 97)
+        got = media.drude_permittivity(p, grid)
+        assert got.shape == grid.shape and got.dtype == complex
+        want = np.array([media.drude_permittivity(p, float(w)) for w in grid])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert type(media.drude_permittivity(p, 0.6)) is complex
+
     @settings(max_examples=50, deadline=None)
     @given(om=st.floats(1e-3, 10.0), gam=st.floats(1e-6, 1.0))
     def test_imag_sign(self, om, gam):
@@ -63,6 +88,22 @@ class TestContrasts:
     def test_degenerate(self):
         with pytest.raises(DegenerateContrastError):
             media.contrasts(media.MediumPair(2.0, 1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("mu_c", [1.0, 2.0])
+    def test_array_matches_scalar(self, mu_c):
+        eps_c = media.drude_permittivity(media.DrudeParams(1.0, 1.0, 0.05),
+                                         np.linspace(0.1, 0.95, 61))
+        got = media.contrasts(media.MediumPair(1.5, 1.0, eps_c, mu_c))
+        want = [media.contrasts(media.MediumPair(1.5, 1.0, complex(e), mu_c)) for e in eps_c]
+        np.testing.assert_allclose(got.lambda_eps, [c.lambda_eps for c in want],
+                                   rtol=1e-12, atol=0)
+        assert got.lambda_mu == want[0].lambda_mu
+        assert type(want[0].lambda_eps) is complex
+
+    def test_degenerate_array_element(self):
+        eps_c = np.array([-2.0 + 0.1j, 1.5 + 0.0j, 0.5 + 0.1j])
+        with pytest.raises(DegenerateContrastError):
+            media.contrasts(media.MediumPair(1.5, 1.0, eps_c, 2.0))
 
     @settings(max_examples=50, deadline=None)
     @given(ar=st.floats(-5, 5), ai=st.floats(0, 2), br=st.floats(-5, 5))

@@ -194,6 +194,42 @@ class TestDegenerateExpansion:
         assert err.value.combination is not None
 
 
+    @pytest.mark.parametrize("mu_s", [1.0, 1.5])
+    def test_array_matches_scalar(self, mu_s):
+        drude = media.DrudeParams(1.0, 1.0, 0.05)
+        host = media.MaterialPreset(drude, mu_c=mu_s)
+        grid = np.linspace(0.3, 0.95, 53)
+        got = sh.shell_degenerate_expansion(2, 0.6, grid, host.medium_at(grid))
+        want = [sh.shell_degenerate_expansion(2, 0.6, float(w), host.medium_at(float(w)))
+                for w in grid]
+        for k, e in enumerate(got):
+            assert e.branch == want[0][k].branch
+            np.testing.assert_allclose(e.tau0, [row[k].tau0 for row in want], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(e.tau2_coeff, [row[k].tau2_coeff for row in want],
+                                       rtol=1e-12, atol=0)
+            for j, (cb, coef) in enumerate(e.mixing):
+                assert cb == want[0][k].mixing[j][0]
+                np.testing.assert_allclose(coef, [row[k].mixing[j][1] for row in want],
+                                           rtol=1e-12, atol=0)
+
+    def test_near_degenerate_inside_array(self):
+        # the engineered point of test_near_degenerate_refused inside a grid
+        om = 0.6
+        drude = media.DrudeParams(1.0, 1.0, 0.0)
+        eps_s = media.drude_permittivity(drude, om)
+        lam_eps = (eps_s + 1.0) / (2.0 * (1.0 - eps_s))
+        target = lam_eps + 2 * sh.shell_np_eigenvalue(1, 0.5)
+        mu_s = (2 * target - 1) / (2 * target + 1)
+        with pytest.raises(DegeneracyError) as scalar:
+            sh.shell_degenerate_expansion(1, 0.5, om, media.MediumPair(1.0, 1.0, eps_s, mu_s))
+        grid = np.array([0.4, om, 0.8])
+        med = media.MediumPair(1.0, 1.0, media.drude_permittivity(drude, grid), mu_s)
+        with pytest.raises(DegeneracyError) as array:
+            sh.shell_degenerate_expansion(1, 0.5, grid, med)
+        assert scalar.value.combination is not None
+        assert array.value.combination == scalar.value.combination
+
+
 class TestShellResonances:
     def test_quasistatic_pair_roots(self):
         drude = media.DrudeParams(1.0, 1.0, 0.0)

@@ -267,3 +267,11 @@ class TestHarmonics:
             ModeIndex(2, 3)
         with pytest.raises(DomainError):
             Direction(1.0, 1.0, 0.0)
+
+    def test_nan_direction_refused(self):
+        # a NaN norm fails every comparison, so the unit check must be
+        # written to fail on it
+        with pytest.raises(DomainError):
+            Direction(math.nan, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            Direction.from_vector([math.nan, 0.0, 1.0])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plasmonics import media, mie, specfun, sphere_modes as sm
+from plasmonics import effective, media, mie, shell_modes, specfun, sphere_modes as sm
 from plasmonics.errors import DegeneracyError, DegenerateContrastError, DomainError
 from plasmonics.specfun import Direction
 
@@ -194,6 +194,120 @@ class TestEigenExpansions:
             full = {e.family: e for e in sm.eigen_expansions(1, 0.6, med_x)}
             for e in exps:
                 assert abs(full[e.family].tau2_coeff - e.tau2_coeff) < 50 * xi
+
+
+class TestArrayEvaluation:
+    GRID = np.linspace(0.3, 0.95, 53)
+
+    @pytest.mark.parametrize("mu_c", [1.0, 1.5])
+    def test_eigen_expansions_match_scalar(self, mu_c):
+        drude = media.DrudeParams(1.0, 1.0, 0.05)
+        host = media.MaterialPreset(drude, mu_c=mu_c)
+        got = sm.eigen_expansions(2, self.GRID, host.medium_at(self.GRID))
+        want = [sm.eigen_expansions(2, float(w), host.medium_at(float(w))) for w in self.GRID]
+        for k, e in enumerate(got):
+            assert e.family == want[0][k].family
+            for field in ("tau0", "tau2_coeff", "eigvec1_coeff"):
+                if getattr(e, field) is None:
+                    continue
+                np.testing.assert_allclose(
+                    getattr(e, field), [getattr(row[k], field) for row in want],
+                    rtol=1e-12, atol=0, err_msg=f"{e.family} {field}")
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_vanishing_gap_inside_array(self, sign):
+        # the gap of test_vanishing_gap_refused at one grid point raises what
+        # the scalar call raises there
+        om = 0.6
+        drude = media.DrudeParams(1.0, 1.0, 0.0)
+        eps_c = media.drude_permittivity(drude, om)
+        lam_eps = media.contrasts(media.MediumPair(1.0, 1.0, eps_c, 2.0)).lambda_eps
+        target = lam_eps + (1.0 / 3.0 if sign == "-" else -1.0 / 3.0)
+        mu_c = (2 * target - 1) / (2 * target + 1)
+        grid = np.array([0.4, om, 0.8])
+        med = media.MediumPair(1.0, 1.0, media.drude_permittivity(drude, grid), mu_c)
+        with pytest.raises(DegeneracyError) as err:
+            sm.eigen_expansions(1, grid, med)
+        assert err.value.combination == f"lambda_mu - lambda_eps {sign} p_n"
+
+    def test_material_constants_degenerate_element(self):
+        med = media.MediumPair(1.0, 1.0, np.array([-2.0 + 0.1j, 1.0 + 0.0j]), 2.0)
+        with pytest.raises(DegenerateContrastError):
+            sm.material_constants(med)
+
+
+def _scalar_loop_minimize(f, omega_range, n_grid=200, tol=1e-10):
+    """The coarse grid evaluated one frequency at a time, as a reference."""
+    lo, hi = omega_range
+    grid = np.linspace(lo, hi, n_grid)
+    vals = np.array([abs(f(w)) for w in grid])
+    i = int(np.argmin(vals))
+    if i == 0 or i == n_grid - 1:
+        return None
+    return sm._golden_minimize(lambda w: abs(f(w)), grid[i - 1], grid[i + 1], tol=tol)
+
+
+def _sphere_reports(mu_c):
+    drude = media.DrudeParams(1.0, 1.0, 0.02)
+    host = media.MaterialPreset(drude, mu_c=mu_c)
+    families = sm.FAMILIES if mu_c != 1.0 else ("eps+", "eps-")
+    return [sm.find_resonance(fam, n, drude, host, 0.4, order, omega_range=(0.3, 0.95))
+            for order in ("quasistatic", "corrected") for fam in families for n in (1, 2)]
+
+
+def _shell_reports():
+    drude = media.DrudeParams(1.0, 1.0, 0.05)
+    host = media.MaterialPreset(drude)
+    geom = shell_modes.ShellGeometry(0.3, 0.5)
+    return [r for order in ("quasistatic", "corrected")
+            for r in shell_modes.shell_resonances(drude, host, geom, order,
+                                                  omega_range=(0.3, 0.95))]
+
+
+def _aniso_reports():
+    drude = media.DrudeParams(1.0, 1.0, 0.02)
+    return effective.aniso_resonance(drude, 1.0, np.diag([1.0, -1.0, 0.0]), delta=0.1)
+
+
+class TestMinimizeModulus:
+    def test_grid_evaluated_in_one_call(self):
+        calls = []
+
+        def tau(w):
+            calls.append(w)
+            return (w - 0.55) + 0.01j
+
+        om = sm.minimize_modulus(tau, (0.1, 0.9), n_grid=57)
+        assert abs(om - 0.55) < 1e-9
+        assert isinstance(calls[0], np.ndarray)
+        np.testing.assert_array_equal(calls[0], np.linspace(0.1, 0.9, 57))
+        assert len(calls) > 1
+        assert not any(isinstance(w, np.ndarray) for w in calls[1:])
+
+    @pytest.mark.parametrize("n_grid", [0, 1, 2])
+    def test_small_grid_refused(self, n_grid):
+        with pytest.raises(DomainError):
+            sm.minimize_modulus(lambda w: w - 0.5, (0.1, 0.9), n_grid=n_grid)
+        assert abs(sm.minimize_modulus(lambda w: w - 0.5, (0.1, 0.9), n_grid=3) - 0.5) < 1e-9
+
+    def test_constant_has_no_minimum(self):
+        # a branch that does not depend on omega (the quasistatic mu
+        # families) returns one value for the whole grid
+        assert sm.minimize_modulus(lambda w: 0.25 + 0.0j, (0.1, 0.9)) is None
+
+    @pytest.mark.parametrize("reports", [
+        pytest.param(lambda: _sphere_reports(1.0), id="sphere"),
+        pytest.param(lambda: _sphere_reports(1.5), id="sphere-magnetic"),
+        pytest.param(_shell_reports, id="shell"),
+        pytest.param(_aniso_reports, id="aniso"),
+    ])
+    def test_bit_identical_to_scalar_loop(self, reports, monkeypatch):
+        got = reports()
+        monkeypatch.setattr(sm, "minimize_modulus", _scalar_loop_minimize)
+        monkeypatch.setattr(effective, "minimize_modulus", _scalar_loop_minimize)
+        want = reports()
+        assert any(r["found"] if isinstance(r, dict) else r.found for r in got)
+        assert got == want
 
 
 class TestFindResonance:

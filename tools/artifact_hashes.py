@@ -6,9 +6,10 @@
 Each job of ``perfbench/workloads.build(workload, seed)`` runs once through
 ``plasmonics.cli.main`` in a temporary directory, with the library imported
 from the checkout's ``src``.  ``--out`` writes the sha256 of every artifact;
-``--compare`` reports the jobs whose artifacts differ from a saved file and
-exits 1 if any do, so a refactor proves byte-identity against its parent by
-running ``--out`` in the parent's checkout and ``--compare`` in its own.
+``--compare`` reports the jobs whose artifacts differ from a saved file, with
+the ``rc`` and the names of the artifacts that changed in each, and exits 1
+if any do, so a refactor proves byte-identity against its parent by running
+``--out`` in the parent's checkout and ``--compare`` in its own.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def artifact_hashes(root: Path) -> dict:
     return out
 
 
+def changes(want: dict | None, got: dict | None) -> list[str]:
+    """What differs between two entries of one job: ``rc`` and the names of
+    the artifacts whose hashes differ, or that only one side wrote."""
+    if want is None or got is None:
+        return ["only in this checkout" if want is None else "only in the saved file"]
+    out = ["rc"] if want["rc"] != got["rc"] else []
+    a, b = want["files"], got["files"]
+    return out + sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -53,7 +64,7 @@ def main(argv=None) -> int:
     want = json.loads(args.compare.read_text())
     differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     for key in differ:
-        print(f"differs: {key}")
+        print(f"differs: {key}: {', '.join(changes(want.get(key), got.get(key)))}")
     print(f"{len(differ)} of {len(want.keys() | got.keys())} jobs differ")
     return 1 if differ else 0
 
