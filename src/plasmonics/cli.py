@@ -62,14 +62,14 @@ class RunConfig:
             else (lambda r: r)
         self.radius = to_norm_radius(get("geometry", "radius", 0.1, float))
         self.rho = get("geometry", "rho", 0.5, float)
-        self.drude = media.DrudeParams(
+        drude = media.DrudeParams(
             eps_inf=get("drude", "eps_inf", 1.0, float),
             omega_p=get("drude", "omega_p", 1.0, float),
             gamma_damp=get("drude", "gamma", 0.0, float),
         )
         mu_c = complex(get("drude", "mu_c_re", 1.0, float), get("drude", "mu_c_im", 0.0, float))
         self.host = media.MaterialPreset(
-            drude=self.drude, mu_c=mu_c,
+            drude=drude, mu_c=mu_c,
             eps_m=get("host", "eps_m", 1.0, float),
             mu_m=get("host", "mu_m", 1.0, float),
         )
@@ -103,13 +103,21 @@ class RunConfig:
                 return default
             raw = parser.get(section, key)
             try:
-                return cast(raw)
+                value = cast(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+            if cast is float and not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+            return value
         return get
 
     @classmethod
-    def load(cls, path: str | None) -> "RunConfig":
+    def load(cls, path: str | None, geometry: str | None = None) -> "RunConfig":
+        """Read and validate the config at ``path`` (None: the defaults).
+
+        ``geometry``, the ``--geometry`` flag, replaces ``[run] geometry``
+        before validation, so the flag is checked exactly like the key.
+        """
         parser = configparser.ConfigParser()
         if path is not None:
             p = Path(path)
@@ -119,6 +127,8 @@ class RunConfig:
                 parser.read_string(p.read_text())
             except configparser.Error as exc:
                 raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        if geometry is not None:
+            parser.read_dict({"run": {"geometry": geometry}})
         return cls(parser)
 
     def omega_grid(self) -> np.ndarray:
@@ -193,12 +203,12 @@ def cmd_resonance(cfg: RunConfig, out: Path, order: str, n_cut: int = 2) -> int:
             for fam in families:
                 for n in range(1, n_cut + 1):
                     reports.append(sphere_modes.find_resonance(
-                        fam, n, cfg.drude, cfg.host, cfg.radius, o, omega_range=rng))
+                        fam, n, cfg.host, cfg.radius, o, omega_range=rng))
     else:
         geom = shell_modes.ShellGeometry(cfg.radius, cfg.rho)
         for o in orders:
             reports.extend(shell_modes.shell_resonances(
-                cfg.drude, cfg.host, geom, o, n_cut=n_cut, omega_range=rng))
+                cfg.host, geom, o, n_cut=n_cut, omega_range=rng))
     _write_json(out / "resonance.json", {"reports": [_report_payload(r) for r in reports]})
     return 0
 
@@ -223,7 +233,7 @@ def cmd_mg(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_aniso(cfg: RunConfig, out: Path) -> int:
-    res = effective.aniso_resonance(cfg.drude, cfg.host.eps_m, cfg.aniso_r,
+    res = effective.aniso_resonance(cfg.host.drude, cfg.host.eps_m, cfg.aniso_r,
                                     cfg.aniso_delta,
                                     omega_range=(cfg.omega_min, cfg.omega_max))
     _write_json(out / "aniso.json", {"resonances": [
@@ -252,9 +262,8 @@ def cmd_selftest(_cfg: RunConfig, out: Path) -> int:
                 worst = max(worst, specfun.wronskian_residual(n, z) * abs(z))
     check(f"wronskian identity (max {worst:.2e})", worst <= 1e-11)
 
-    drude = media.DrudeParams(1.0, 1.0, 0.0)
-    host = media.MaterialPreset(drude)
-    rep = sphere_modes.find_resonance("eps+", 1, drude, host, 0.05, "quasistatic")
+    host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.0))
+    rep = sphere_modes.find_resonance("eps+", 1, host, 0.05, "quasistatic")
     ok = rep.found and abs(rep.omega_star - 1.0 / math.sqrt(3.0)) <= 1e-8
     check("frohlich dipole root", ok)
 
@@ -299,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config)
-        if args.geometry is not None:
-            cfg.geometry = args.geometry
+        cfg = RunConfig.load(args.config, args.geometry)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":

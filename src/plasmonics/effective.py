@@ -59,7 +59,6 @@ class EffectiveTensor:
     remainder_scale: float
     valid: bool
     margin: float
-    inverse_norm: float  # diagnostic ||(Id - f M / 3)^{-1}||
 
 
 def q0_eigenvalues(eps_m: complex, eps_c: complex, np_spectrum) -> list[complex]:
@@ -238,7 +237,6 @@ def mg_effective(eps_m: complex, eps_c: complex, f: float,
         remainder_scale=f ** (8.0 / 3.0) / dist**2 if dist > 0 else math.inf,
         valid=margin >= 0.0,
         margin=margin,
-        inverse_norm=float(np.linalg.norm(inv, 2)),
     )
 
 

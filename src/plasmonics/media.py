@@ -67,9 +67,9 @@ class DrudeParams:
     gamma_damp: float = 0.0
 
     def __post_init__(self):
-        if self.omega_p <= 0:
+        if not self.omega_p > 0:
             raise DomainError("omega_p must be positive")
-        if self.gamma_damp < 0:
+        if not self.gamma_damp >= 0:
             raise DomainError("gamma_damp must be nonnegative")
 
 
@@ -180,7 +180,9 @@ class MaterialPreset:
     eps_m: float = 1.0
     mu_m: float = 1.0
 
-    def medium_at(self, omega: float) -> MediumPair:
+    def medium_at(self, omega: float | np.ndarray) -> MediumPair:
+        """The medium pair at ``omega``, a float or an ndarray of frequencies
+        (then ``eps_c`` is an array of the same shape)."""
         return MediumPair(
             eps_m=complex(self.eps_m),
             mu_m=complex(self.mu_m),

@@ -33,7 +33,7 @@ class SphereGeometry:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise DomainError("sphere radius must be positive")
 
 

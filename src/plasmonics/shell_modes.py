@@ -23,7 +23,7 @@ import numpy as np
 from . import media as _media
 from . import sphere_modes as _sphere
 from .errors import DegeneracyError, DegenerateContrastError, DomainError
-from .sphere_modes import ResonanceReport
+from .sphere_modes import ModeBlock, ResonanceReport
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ShellGeometry:
     rho: float
 
     def __post_init__(self):
-        if self.r_s <= 0:
+        if not self.r_s > 0:
             raise DomainError("outer radius must be positive")
         if not (0.0 < self.rho < 1.0):
             raise DomainError("radius ratio rho must lie in (0, 1)")
@@ -53,17 +53,6 @@ class ShellCoeffs:
     qt: float
     rt: float
     st: float
-
-
-@dataclass(frozen=True)
-class ShellBlocks:
-    n: int
-    w0: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-    def assembled(self, r_s: float) -> np.ndarray:
-        return self.w0 + r_s * self.w1 + r_s * r_s * self.w2
 
 
 @dataclass(frozen=True)
@@ -130,8 +119,9 @@ def _pattern(c1: complex, c2: complex, c3: complex, c4: complex) -> np.ndarray:
     return out
 
 
-def shell_blocks(n: int, rho: float, omega: float, med: _media.MediumPair) -> ShellBlocks:
-    """Assemble the 8x8 (W0, W1, W2) blocks for degree n.
+def shell_blocks(n: int, rho: float, omega: float, med: _media.MediumPair) -> ModeBlock:
+    """Assemble the 8x8 (W0, W1, W2) blocks for degree n; ``assembled(r_s)``
+    of the returned ``ModeBlock`` is the matrix at outer radius r_s.
 
     The leading diagonal uses the offset 1/(2(2n+1)); this is the unique
     value for which the W0 spectrum equals ``{lambda +/- L}`` with the
@@ -159,12 +149,8 @@ def shell_blocks(n: int, rho: float, omega: float, med: _media.MediumPair) -> Sh
     w0 = np.block([[lam + p0, q0], [r0, lam - p0]])
     w1 = np.block([[p1, q1], [r1, -p1]])
     w2 = np.block([[p2, q2], [r2, -p2]])
-    return ShellBlocks(n=n, w0=w0, w1=w1, w2=w2)
+    return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
 
-
-# Pair structure: coordinate pairs (e_a, e_{a+4}) for a = 1..4 close under W0
-# and W2; W1 maps pair a to pair sigma(a).
-_SIGMA = {1: 4, 2: 3, 3: 2, 4: 1}
 
 #: branch -> (pair index a, sign of L in the eigenvalue, contrast sector)
 _BRANCH_DEF = {
@@ -190,7 +176,7 @@ def _pair_vectors(n: int, rho: float):
             right[b] = (sgn * L - phat, c.g)
             left[b] = (sgn * L - phat, rho**2 * c.f)
         norm[b] = 2.0 * L * (L + sgn * phat) if a in (1, 3) else 2.0 * L * (L - sgn * phat)
-    return right, left, norm, L, phat, c
+    return right, left, norm, L, c
 
 
 def shell_basis(n: int, rho: float, med: _media.MediumPair) -> ShellBasis:
@@ -198,7 +184,7 @@ def shell_basis(n: int, rho: float, med: _media.MediumPair) -> ShellBasis:
     con = _media.contrasts(med)
     if con.nonmagnetic:
         raise DegenerateContrastError("shell basis requires magnetic contrast")
-    right, left, norm, L, phat, c = _pair_vectors(n, rho)
+    right, left, norm, L, _ = _pair_vectors(n, rho)
     vecs = np.zeros((8, 8), dtype=complex)
     lefts = np.zeros((8, 8), dtype=complex)
     taus = np.zeros(8, dtype=complex)
@@ -214,35 +200,6 @@ def shell_basis(n: int, rho: float, med: _media.MediumPair) -> ShellBasis:
         taus[b - 1] = lam[sector] + sgn * L
         norms[b - 1] = norm[b]
     return ShellBasis(vectors=vecs, left_vectors=lefts, taus=taus, normalizers=norms)
-
-
-def _w1_pair_action(a: int, up: complex, lo: complex, c: ShellCoeffs, rho: float,
-                    c_mu: complex, c_eps: complex):
-    """Apply the omega-stripped W1 to a pair vector; returns (target pair,
-    upper, lower)."""
-    colP = {1: c_eps * c.q, 2: c_eps * c.p, 3: c_mu * c.q, 4: c_mu * c.p}[a]
-    colQ = {1: c_eps * c.qt, 2: c_eps * c.pt, 3: c_mu * c.qt, 4: c_mu * c.pt}[a]
-    out_up = up * colP + lo * rho * colQ
-    out_lo = up * (-colQ / rho) - lo * colP
-    return _SIGMA[a], out_up, out_lo
-
-
-def _w2_pair_action(a: int, up: complex, lo: complex, c: ShellCoeffs, rho: float,
-                    d_mu: complex, d_eps: complex):
-    """Apply the omega^2-stripped W2 to a pair vector (pair-preserving)."""
-    d = d_mu if a in (1, 2) else d_eps
-    P2 = {1: d * c.r, 2: d * c.s, 3: d * c.r, 4: d * c.s}[a]
-    Q2 = rho * {1: d * c.rt, 2: d * c.st, 3: d * c.rt, 4: d * c.st}[a]
-    R2 = (1.0 / rho) * {1: d * c.st, 2: -d * c.rt, 3: d * c.st, 4: -d * c.rt}[a]
-    out_up = up * P2 + lo * Q2
-    out_lo = up * R2 - lo * P2
-    return a, out_up, out_lo
-
-
-def _intermediates(branch: int) -> tuple[int, int]:
-    a = _BRANCH_DEF[branch][0]
-    target = _SIGMA[a]
-    return tuple(b for b, (pa, _, _) in _BRANCH_DEF.items() if pa == target)
 
 
 def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
@@ -262,13 +219,12 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
     ways, the order of the checks picks which).
     """
     con = _media.contrasts(med)
-    right, left, norm, L, phat, c = _pair_vectors(n, rho)
+    right, left, norm, L, c = _pair_vectors(n, rho)
     nonmag = con.nonmagnetic
     lam_eps = con.lambda_eps
     if nonmag:
         c_mu, c_eps = 1.0, -med.mu_m  # C_mu enters only via its lambda_mu limit
         d_eps = -med.mu_m * (med.eps_c + med.eps_m)
-        d_mu = 0.0
         lam = {"eps": lam_eps}
         branches = (5, 6, 7, 8)
         cross_limit = med.eps_m - med.eps_c   # lim C_mu / (tau_eps - tau_mu)
@@ -285,41 +241,55 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
         c_mu, c_eps, d_mu, d_eps = _sphere.material_constants(med)
         lam = {"mu": lam_mu, "eps": lam_eps}
         branches = (1, 2, 3, 4, 5, 6, 7, 8)
-        cross_limit = None
 
-    def tau0_of(b: int) -> complex | np.ndarray:
-        a, sgn, sector = _BRANCH_DEF[b]
-        return lam[sector] + sgn * L
+    # Coordinate pairs (e_a, e_{a+4}), a = 1..4, close under W0 and W2; W1
+    # maps pair a to pair 5 - a.  Pairs 1, 2 are the mu sector, 3, 4 the eps
+    # sector; odd pairs take the (q, r) coefficients, even pairs (p, s).
+    def w1(a: int, up, lo):
+        """The omega-stripped W1 on a pair-a vector; the result is in pair 5 - a."""
+        k = c_eps if a < 3 else c_mu
+        col_p = k * (c.q if a % 2 else c.p)
+        col_q = k * (c.qt if a % 2 else c.pt)
+        return up * col_p + lo * rho * col_q, up * (-col_q / rho) - lo * col_p
 
+    def w2(a: int, up, lo):
+        """The omega^2-stripped W2 on a pair-a vector, which stays in pair a."""
+        d = d_mu if a < 3 else d_eps
+        if a % 2:
+            p2, q2, r2 = d * c.r, rho * (d * c.rt), (1.0 / rho) * (d * c.st)
+        else:
+            p2, q2, r2 = d * c.s, rho * (d * c.st), (1.0 / rho) * (-d * c.rt)
+        return up * p2 + lo * q2, up * r2 - lo * p2
+
+    tau0 = {b: lam[sector] + sgn * L
+            for b, (_, sgn, sector) in _BRANCH_DEF.items() if b in branches}
     out = []
     for b in branches:
-        a, sgn, sector = _BRANCH_DEF[b]
+        a = _BRANCH_DEF[b][0]
         up, lo = right[b]
-        # diagonal second-order term
-        _, w2u, w2l = _w2_pair_action(a, up, lo, c, rho, d_mu, d_eps)
         lw_up, lw_lo = left[b]
+        # diagonal second-order term
+        w2u, w2l = w2(a, up, lo)
         el = lw_up * w2u + lw_lo * w2l
+        y_up, y_lo = w1(a, up, lo)   # W1 v_b
         mixing = []
-        for cb in _intermediates(b):
-            ca, csgn, csector = _BRANCH_DEF[cb]
-            cup, clo = right[cb]
-            # (w_b . W1 v_cb)
-            t1a, x_up, x_lo = _w1_pair_action(ca, cup, clo, c, rho, c_mu, c_eps)
-            elem_bc = lw_up * x_up + lw_lo * x_lo if t1a == a else 0.0
-            # (w_cb . W1 v_b)
-            t2a, y_up, y_lo = _w1_pair_action(a, up, lo, c, rho, c_mu, c_eps)
+        for cb, (ca, _, _) in _BRANCH_DEF.items():
+            if ca != 5 - a:
+                continue
+            x_up, x_lo = w1(ca, *right[cb])
+            elem_bc = lw_up * x_up + lw_lo * x_lo   # (w_b . W1 v_cb)
             lcu, lcl = left[cb]
-            elem_cb = lcu * y_up + lcl * y_lo if t2a == ca else 0.0
+            elem_cb = lcu * y_up + lcl * y_lo       # (w_cb . W1 v_b)
             if nonmag:
                 # elem_bc carries the placeholder C_mu = 1; the 1/gap combines
                 # with it into the finite limit eps_m - eps_s.
                 el += elem_bc * elem_cb * cross_limit / norm[cb]
                 mixing.append((cb, 0.0))
             else:
-                gap = tau0_of(b) - tau0_of(cb)
-                el += elem_bc * elem_cb / (norm[cb] * gap)
-                mixing.append((cb, elem_cb / (norm[cb] * gap)))
-        out.append(DegenExpansion(branch=b, n=n, tau0=tau0_of(b), tau1=0.0,
+                den = norm[cb] * (tau0[b] - tau0[cb])
+                el += elem_bc * elem_cb / den
+                mixing.append((cb, elem_cb / den))
+        out.append(DegenExpansion(branch=b, n=n, tau0=tau0[b], tau1=0.0,
                                   tau2_coeff=el / norm[b], mixing=tuple(mixing)))
     return out
 
@@ -331,14 +301,15 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
 _EPS_BRANCHES = ((5, +1, "bonding"), (7, -1, "antibonding"))
 
 
-def shell_resonances(drude_shell: _media.DrudeParams, host: _media.MaterialPreset,
-                     geom: ShellGeometry, order: str, n_cut: int = 2,
+def shell_resonances(host: _media.MaterialPreset, geom: ShellGeometry, order: str,
+                     n_cut: int = 2,
                      omega_range: tuple[float, float] = (0.05, 0.99),
                      n_grid: int = 400) -> list[ResonanceReport]:
     """Hybridized resonances of a Drude shell: for each degree n <= n_cut,
     the bonding/antibonding pair of roots of ``lambda_eps(omega) = -/+ L``
     (quasistatic) or the minimizers including the (r_s*omega)^2 branch shift
-    (corrected)."""
+    (corrected).  The shell is the preset's particle material (``host.drude``,
+    ``host.mu_c``); the core and the surroundings are its host medium."""
     if order not in ("quasistatic", "corrected"):
         raise DomainError(f"unknown order {order!r}")
     reports = []
@@ -346,18 +317,12 @@ def shell_resonances(drude_shell: _media.DrudeParams, host: _media.MaterialPrese
         L = shell_np_eigenvalue(n, geom.rho)
         for branch, sgn, fam in _EPS_BRANCHES:
 
-            def med_at(w: float | np.ndarray) -> _media.MediumPair:
-                return _media.MediumPair(
-                    eps_m=complex(host.eps_m), mu_m=complex(host.mu_m),
-                    eps_c=_media.drude_permittivity(drude_shell, w),
-                    mu_c=complex(host.mu_c))
-
             def tau_qs(w: float | np.ndarray) -> complex | np.ndarray:
-                return _media.contrasts(med_at(w)).lambda_eps + sgn * L
+                return _media.contrasts(host.medium_at(w)).lambda_eps + sgn * L
 
             def tau(w: float | np.ndarray) -> complex | np.ndarray:
                 exp = {e.branch: e for e in
-                       shell_degenerate_expansion(n, geom.rho, w, med_at(w))}
+                       shell_degenerate_expansion(n, geom.rho, w, host.medium_at(w))}
                 e = exp[branch]
                 return e.tau0 + (geom.r_s * w) ** 2 * e.tau2_coeff
 

@@ -35,7 +35,8 @@ FAMILIES = ("mu+", "mu-", "eps+", "eps-")
 
 @dataclass(frozen=True)
 class ModeBlock:
-    """Matrix triple of the size expansion for one degree n."""
+    """Matrix triple of the size expansion for one degree n: 4x4 for a
+    sphere (``w_blocks``), 8x8 for a shell (``shell_modes.shell_blocks``)."""
 
     n: int
     w0: np.ndarray
@@ -267,13 +268,9 @@ def minimize_modulus(f, omega_range: tuple[float, float], n_grid: int = 200,
     return _golden_minimize(lambda w: abs(f(w)), grid[i - 1], grid[i + 1], tol=tol)
 
 
-def _tau_function(family: str, n: int, drude: _media.DrudeParams, host: _media.MaterialPreset,
-                  r: float, order: str):
+def _tau_function(family: str, n: int, host: _media.MaterialPreset, r: float, order: str):
     def tau(w: float | np.ndarray) -> complex | np.ndarray:
-        med = _media.MediumPair(eps_m=complex(host.eps_m), mu_m=complex(host.mu_m),
-                                eps_c=_media.drude_permittivity(drude, w),
-                                mu_c=complex(host.mu_c))
-        exps = {e.family: e for e in eigen_expansions(n, w, med)}
+        exps = {e.family: e for e in eigen_expansions(n, w, host.medium_at(w))}
         if family not in exps:
             raise DomainError(f"family {family!r} undefined for nonmagnetic media")
         e = exps[family]
@@ -283,11 +280,11 @@ def _tau_function(family: str, n: int, drude: _media.DrudeParams, host: _media.M
     return tau
 
 
-def find_resonance(family: str, n: int, drude: _media.DrudeParams,
-                   host: _media.MaterialPreset, r: float, order: str,
+def find_resonance(family: str, n: int, host: _media.MaterialPreset, r: float, order: str,
                    omega_range: tuple[float, float] = (0.05, 0.99),
                    n_grid: int = 200) -> ResonanceReport:
-    """Locate the resonance of one (family, n) branch by minimizing |tau|.
+    """Locate the resonance of one (family, n) branch of a sphere of radius r
+    made of the preset's particle material by minimizing |tau|.
 
     ``order="quasistatic"`` minimizes the size-independent leading term;
     ``order="corrected"`` includes the (r*omega)^2 shift and reports the
@@ -299,8 +296,8 @@ def find_resonance(family: str, n: int, drude: _media.DrudeParams,
     if order not in ("quasistatic", "corrected"):
         raise DomainError(f"unknown order {order!r}")
     return resonance_report(
-        family, n, order, _tau_function(family, n, drude, host, r, "quasistatic"),
-        _tau_function(family, n, drude, host, r, "corrected"), omega_range, n_grid)
+        family, n, order, _tau_function(family, n, host, r, "quasistatic"),
+        _tau_function(family, n, host, r, "corrected"), omega_range, n_grid)
 
 
 def resonance_report(family: str, n: int, order: str, tau_qs, tau_corrected,

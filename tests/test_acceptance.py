@@ -38,8 +38,8 @@ def test_criterion_01_wronskian_identity():
 def test_criterion_02_frohlich_resonances():
     drude = media.DrudeParams(eps_inf=1.0, omega_p=1.0, gamma_damp=0.0)
     host = media.MaterialPreset(drude)
-    r1 = sm.find_resonance("eps+", 1, drude, host, 0.05, "quasistatic")
-    r2 = sm.find_resonance("eps+", 2, drude, host, 0.05, "quasistatic")
+    r1 = sm.find_resonance("eps+", 1, host, 0.05, "quasistatic")
+    r2 = sm.find_resonance("eps+", 2, host, 0.05, "quasistatic")
     e1 = abs(r1.omega_star - 1.0 / math.sqrt(3.0))
     e2 = abs(r2.omega_star - math.sqrt(2.0 / 5.0))
     assert r1.found and e1 <= 1e-8

@@ -172,6 +172,40 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("command", ["resonance", "modes"])
+    def test_shell_rho_checked_for_flag_and_key(self, tmp_path, capsys, command):
+        # --geometry shell is validated exactly like [run] geometry = shell
+        flag = tmp_path / "flag.ini"
+        flag.write_text("[geometry]\nrho = 1.5\n")
+        key = tmp_path / "key.ini"
+        key.write_text("[run]\ngeometry = shell\n[geometry]\nrho = 1.5\n")
+        messages = []
+        for name, args in (("flag", ["--config", str(flag), "--geometry", "shell"]),
+                           ("key", ["--config", str(key)])):
+            out = tmp_path / name
+            rc = run([command, "--out", str(out), *args])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["type"] == "config"
+            messages.append(err["message"])
+            assert not out.exists()
+        assert messages == ["shell rho must lie in (0, 1)"] * 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("drude", "gamma"), ("drude", "omega_p"), ("geometry", "radius"), ("host", "eps_m")])
+    @pytest.mark.parametrize("command", ["spectrum", "resonance", "modes", "mg"])
+    def test_nonfinite_refused(self, tmp_path, capsys, command, section, key, value):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n[grid]\ncount = 5\n")
+        out = tmp_path / "out"
+        rc = run([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "config"
+        assert err["message"] == f"[{section}] {key}: {value!r} is not a finite number"
+        assert not out.exists()
+
     def test_bad_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path)])

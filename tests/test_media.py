@@ -38,6 +38,11 @@ class TestDrude:
         with pytest.raises(DomainError):
             media.DrudeParams(1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("omega_p, gamma", [(math.nan, 0.0), (1.0, math.nan)])
+    def test_nan_parameters_refused(self, omega_p, gamma):
+        with pytest.raises(DomainError):
+            media.DrudeParams(1.0, omega_p, gamma)
+
     def test_nan_refused(self):
         p = media.DrudeParams(1.0, 1.0, 0.02)
         with pytest.raises(DomainError):

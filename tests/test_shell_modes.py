@@ -236,7 +236,7 @@ class TestShellResonances:
         host = media.MaterialPreset(drude)
         geom = sh.ShellGeometry(0.1, 0.5)
         L = sh.shell_np_eigenvalue(1, 0.5)
-        reps = {r.family: r for r in sh.shell_resonances(drude, host, geom, "quasistatic", n_cut=1)}
+        reps = {r.family: r for r in sh.shell_resonances(host, geom, "quasistatic", n_cut=1)}
         assert abs(reps["bonding"].omega_star - math.sqrt((1 - 2 * L) / 2)) < 1e-8
         assert abs(reps["antibonding"].omega_star - math.sqrt((1 + 2 * L) / 2)) < 1e-8
 
@@ -246,7 +246,7 @@ class TestShellResonances:
         splits = []
         for rho in (0.2, 0.4, 0.6, 0.8):
             reps = {r.family: r for r in sh.shell_resonances(
-                drude, host, sh.ShellGeometry(0.1, rho), "quasistatic", n_cut=1)}
+                host, sh.ShellGeometry(0.1, rho), "quasistatic", n_cut=1)}
             splits.append(reps["antibonding"].omega_star - reps["bonding"].omega_star)
         assert all(a < b for a, b in zip(splits, splits[1:]))
 
@@ -254,9 +254,9 @@ class TestShellResonances:
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
         reps = {r.family: r for r in sh.shell_resonances(
-            drude, host, sh.ShellGeometry(0.3, 1e-3), "corrected", n_cut=1)}
-        sp_plus = sm.find_resonance("eps+", 1, drude, host, 0.3, "corrected")
-        sp_minus = sm.find_resonance("eps-", 1, drude, host, 0.3, "corrected")
+            host, sh.ShellGeometry(0.3, 1e-3), "corrected", n_cut=1)}
+        sp_plus = sm.find_resonance("eps+", 1, host, 0.3, "corrected")
+        sp_minus = sm.find_resonance("eps-", 1, host, 0.3, "corrected")
         assert abs(reps["bonding"].omega_star - sp_plus.omega_star) < 1e-6
         assert abs(reps["antibonding"].omega_star - sp_minus.omega_star) < 1e-6
 
@@ -265,13 +265,18 @@ class TestShellResonances:
         # every n <= 2 root of the rho = 0.5 shell lies below 0.9
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
-        reps = sh.shell_resonances(drude, host, sh.ShellGeometry(0.1, 0.5), order,
+        reps = sh.shell_resonances(host, sh.ShellGeometry(0.1, 0.5), order,
                                    omega_range=(0.9, 0.99))
         assert len(reps) == 4
         for r in reps:
             assert not r.found and r.order == order
             assert r.omega_star is None and r.tau_at_min is None and r.fwhm_estimate is None
             assert math.isnan(r.shift_from_quasistatic)
+
+    @pytest.mark.parametrize("r_s, rho", [(math.nan, 0.5), (0.1, math.nan)])
+    def test_nan_geometry_refused(self, r_s, rho):
+        with pytest.raises(DomainError):
+            sh.ShellGeometry(r_s, rho)
 
     def test_geometry_validation(self):
         with pytest.raises(DomainError):
@@ -281,4 +286,4 @@ class TestShellResonances:
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
         with pytest.raises(DomainError):
-            sh.shell_resonances(drude, host, sh.ShellGeometry(0.1, 0.5), "zeroth")
+            sh.shell_resonances(host, sh.ShellGeometry(0.1, 0.5), "zeroth")

@@ -251,7 +251,7 @@ def _sphere_reports(mu_c):
     drude = media.DrudeParams(1.0, 1.0, 0.02)
     host = media.MaterialPreset(drude, mu_c=mu_c)
     families = sm.FAMILIES if mu_c != 1.0 else ("eps+", "eps-")
-    return [sm.find_resonance(fam, n, drude, host, 0.4, order, omega_range=(0.3, 0.95))
+    return [sm.find_resonance(fam, n, host, 0.4, order, omega_range=(0.3, 0.95))
             for order in ("quasistatic", "corrected") for fam in families for n in (1, 2)]
 
 
@@ -260,7 +260,7 @@ def _shell_reports():
     host = media.MaterialPreset(drude)
     geom = shell_modes.ShellGeometry(0.3, 0.5)
     return [r for order in ("quasistatic", "corrected")
-            for r in shell_modes.shell_resonances(drude, host, geom, order,
+            for r in shell_modes.shell_resonances(host, geom, order,
                                                   omega_range=(0.3, 0.95))]
 
 
@@ -314,31 +314,31 @@ class TestFindResonance:
     def test_frohlich_roots(self):
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
-        rep = sm.find_resonance("eps+", 1, drude, host, 0.05, "quasistatic")
+        rep = sm.find_resonance("eps+", 1, host, 0.05, "quasistatic")
         assert rep.found and abs(rep.omega_star - 1 / math.sqrt(3)) < 1e-8
-        rep2 = sm.find_resonance("eps+", 2, drude, host, 0.05, "quasistatic")
+        rep2 = sm.find_resonance("eps+", 2, host, 0.05, "quasistatic")
         assert rep2.found and abs(rep2.omega_star - math.sqrt(0.4)) < 1e-8
 
     def test_quasistatic_size_independence(self):
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
-        roots = [sm.find_resonance("eps+", 1, drude, host, r, "quasistatic").omega_star
+        roots = [sm.find_resonance("eps+", 1, host, r, "quasistatic").omega_star
                  for r in (1e-3, 1e-2, 1e-1)]
         assert max(roots) - min(roots) < 1e-12
-        corr = [sm.find_resonance("eps+", 1, drude, host, r, "corrected").omega_star
+        corr = [sm.find_resonance("eps+", 1, host, r, "corrected").omega_star
                 for r in (1e-2, 1e-1)]
         assert abs(corr[0] - corr[1]) > 1e-5  # corrected order is size-dependent
 
     def test_corrected_shift_is_redshift(self):
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
-        rep = sm.find_resonance("eps+", 1, drude, host, 0.4, "corrected")
+        rep = sm.find_resonance("eps+", 1, host, 0.4, "corrected")
         assert rep.found and rep.shift_from_quasistatic < 0
 
     def test_not_found(self):
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
-        rep = sm.find_resonance("eps+", 1, drude, host, 0.05, "quasistatic",
+        rep = sm.find_resonance("eps+", 1, host, 0.05, "quasistatic",
                                 omega_range=(0.8, 0.95))
         assert not rep.found and rep.omega_star is None
 
@@ -346,11 +346,11 @@ class TestFindResonance:
         drude = media.DrudeParams(1.0, 1.0, 0.0)
         host = media.MaterialPreset(drude)
         with pytest.raises(DomainError):
-            sm.find_resonance("nope", 1, drude, host, 0.05, "quasistatic")
+            sm.find_resonance("nope", 1, host, 0.05, "quasistatic")
         with pytest.raises(DomainError):
-            sm.find_resonance("eps+", 1, drude, host, 0.05, "zeroth")
+            sm.find_resonance("eps+", 1, host, 0.05, "zeroth")
         with pytest.raises(DomainError):
-            sm.find_resonance("mu+", 1, drude, host, 0.05, "quasistatic")
+            sm.find_resonance("mu+", 1, host, 0.05, "quasistatic")
 
     def test_excitation_selection(self):
         # only the eps+ family (lambda_eps = -1/(2(2n+1))) produces a Mie
@@ -358,8 +358,8 @@ class TestFindResonance:
         drude = media.DrudeParams(1.0, 1.0, 0.02)
         preset = media.MaterialPreset(drude)
         host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.0))
-        om_plus = sm.find_resonance("eps+", 1, host.drude, host, 0.02, "quasistatic").omega_star
-        om_minus = sm.find_resonance("eps-", 1, host.drude, host, 0.02, "quasistatic").omega_star
+        om_plus = sm.find_resonance("eps+", 1, host, 0.02, "quasistatic").omega_star
+        om_minus = sm.find_resonance("eps-", 1, host, 0.02, "quasistatic").omega_star
         pw = mie.PlaneWave(Direction(0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
         spec = mie.scan_spectrum(mie.SphereGeometry(0.02), preset.medium_at,
                                  np.linspace(0.45, 0.95, 300), pw)

@@ -1,15 +1,19 @@
-"""Hash every CLI artifact of seeds 0-3 of every benchmark workload.
+"""Hash every CLI artifact of seeds 0-3 of every benchmark workload, plus extras.
 
     python3 tools/artifact_hashes.py --out hashes.json       (from the root of a checkout)
     python3 tools/artifact_hashes.py --compare hashes.json
 
-Each job of ``perfbench/workloads.build(workload, seed)`` runs once through
+Each job of ``perfbench/workloads.build(workload, seed)``, and each of the
+fixed ``EXTRA`` jobs for what the workloads miss, runs once through
 ``plasmonics.cli.main`` in a temporary directory, with the library imported
 from the checkout's ``src``.  ``--out`` writes the sha256 of every artifact;
 ``--compare`` reports the jobs whose artifacts differ from a saved file, with
 the ``rc`` and the names of the artifacts that changed in each, and exits 1
 if any do, so a refactor proves byte-identity against its parent by running
-``--out`` in the parent's checkout and ``--compare`` in its own.
+``--out`` in the parent's checkout and ``--compare`` in its own.  The tool
+reads only ``perfbench/`` besides the library, so when the parent's copy of
+this file is older, copy this one into the parent's checkout first: both
+sides then run the same jobs.
 """
 
 from __future__ import annotations
@@ -22,6 +26,32 @@ from pathlib import Path
 
 SEEDS = range(4)
 
+BOTH = ("--order", "both")
+MAGNETIC_SHELL = {
+    "run": {"geometry": "shell"},
+    "geometry": {"radius": 0.3, "rho": 0.5},
+    "drude": {"gamma": 0.05, "mu_c_re": 1.5},
+}
+LOSSY_MAGNETIC_SHELL = {
+    "run": {"geometry": "shell"},
+    "geometry": {"radius": 0.3, "rho": 0.7},
+    "drude": {"gamma": 0.05, "mu_c_re": 1.3, "mu_c_im": 0.1},
+}
+FLAG_SHELL = {"geometry": {"radius": 0.2, "rho": 0.6}, "drude": {"gamma": 0.03}}
+
+#: (name, command, config, extra argv): magnetic shells exercise shell branches
+#: 1-4 and the gap cross terms, which no workload reaches; the last two select
+#: the shell by the ``--geometry`` flag instead of ``[run] geometry``.  None
+#: of them exits nonzero, and none is jittered.
+EXTRA = (
+    ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
+    ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
+    ("lossy-magnetic-shell", "resonance", LOSSY_MAGNETIC_SHELL, BOTH),
+    ("modes-lossy-magnetic-shell", "modes", LOSSY_MAGNETIC_SHELL, ()),
+    ("flag-shell", "resonance", FLAG_SHELL, ("--geometry", "shell", *BOTH)),
+    ("modes-flag-shell", "modes", FLAG_SHELL, ("--geometry", "shell")),
+)
+
 
 def artifact_hashes(root: Path) -> dict:
     sys.path.insert(0, str(root / "perfbench"))
@@ -29,14 +59,15 @@ def artifact_hashes(root: Path) -> dict:
     import workloads
 
     cli = bench.load_library(root)
+    batches = [(f"{workload}/{seed}", workloads.build(workload, seed))
+               for workload in workloads.WORKLOADS for seed in SEEDS]
+    batches.append(("extra", [workloads.Job(*job) for job in EXTRA]))
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads.WORKLOADS:
-            for seed in SEEDS:
-                jobs = workloads.build(workload, seed)
-                result = bench.Workspace(Path(tmp) / f"{workload}-{seed}", jobs).run_pass(cli)
-                for job, rc, digest in zip(jobs, result["rcs"], bench.hashes(result["arts"])):
-                    out[f"{workload}/{seed}/{job.name}"] = {"rc": rc, "files": digest}
+        for i, (prefix, jobs) in enumerate(batches):
+            result = bench.Workspace(Path(tmp) / str(i), jobs).run_pass(cli)
+            for job, rc, digest in zip(jobs, result["rcs"], bench.hashes(result["arts"])):
+                out[f"{prefix}/{job.name}"] = {"rc": rc, "files": digest}
     return out
 
 
