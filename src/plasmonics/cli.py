@@ -173,21 +173,17 @@ def cmd_spectrum(cfg: RunConfig, out: Path, jobs: int, fmt: str = "csv") -> int:
 
 
 def cmd_modes(cfg: RunConfig, out: Path, n_cut: int = 3) -> int:
-    rows = []
     om = 0.5 * (cfg.omega_min + cfg.omega_max)
     med = cfg.host.medium_at(om)
-    if cfg.geometry == "sphere":
-        for n in range(1, n_cut + 1):
-            for e in sphere_modes.eigen_expansions(n, om, med):
-                rows.append((e.family, n, e.tau0, e.tau2_coeff))
-    else:
-        for n in range(1, n_cut + 1):
-            for e in shell_modes.shell_degenerate_expansion(n, cfg.rho, om, med):
-                rows.append((f"branch{e.branch}", n, e.tau0, e.tau2_coeff))
+    rows = []
+    for n in range(1, n_cut + 1):
+        rows += (sphere_modes.eigen_expansions(n, om, med) if cfg.geometry == "sphere"
+                 else shell_modes.shell_degenerate_expansion(n, cfg.rho, om, med))
     with open(out / "modes.csv", "w", newline="\n") as fh:
         fh.write("family,n,omega,tau0_re,tau0_im,tau2_re,tau2_im\n")
-        for fam, n, t0, t2 in rows:
-            fh.write(f"{fam},{n},{om:.17g},{t0.real:.17g},{t0.imag:.17g},"
+        for e in rows:
+            t0, t2 = e.tau0, e.tau2_coeff
+            fh.write(f"{e.family},{e.n},{om:.17g},{t0.real:.17g},{t0.imag:.17g},"
                      f"{t2.real:.17g},{t2.imag:.17g}\n")
     return 0
 

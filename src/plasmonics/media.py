@@ -8,6 +8,8 @@ condition ``eps_c = -2 eps_m``) sits at ``lambda_eps = -1/6``.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,10 +69,12 @@ class DrudeParams:
     gamma_damp: float = 0.0
 
     def __post_init__(self):
-        if not self.omega_p > 0:
-            raise DomainError("omega_p must be positive")
-        if not self.gamma_damp >= 0:
-            raise DomainError("gamma_damp must be nonnegative")
+        if not math.isfinite(self.eps_inf):
+            raise DomainError(f"eps_inf must be finite, got {self.eps_inf!r}")
+        if not 0 < self.omega_p < math.inf:
+            raise DomainError("omega_p must be positive and finite")
+        if not 0 <= self.gamma_damp < math.inf:
+            raise DomainError("gamma_damp must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,11 @@ class MaterialPreset:
     eps_m: float = 1.0
     mu_m: float = 1.0
 
+    def __post_init__(self):
+        for name in ("mu_c", "eps_m", "mu_m"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+
     def medium_at(self, omega: float | np.ndarray) -> MediumPair:
         """The medium pair at ``omega``, a float or an ndarray of frequencies
         (then ``eps_c`` is an array of the same shape)."""
@@ -216,6 +225,8 @@ def load_material_preset(path) -> MaterialPreset:
             values[key] = float(val.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}")
     drude = DrudeParams(
         eps_inf=values.get("eps_inf", 1.0),
         omega_p=values.get("omega_p", 1.0),

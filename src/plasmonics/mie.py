@@ -33,8 +33,8 @@ class SphereGeometry:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("sphere radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise DomainError("sphere radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -58,13 +58,6 @@ def ball_tensor_from_media(med: _media.MediumPair, radius: float) -> Polarizatio
     return ball_polarization_tensor(_media.lambda_star(med.eps_c, med.eps_m), radius)
 
 
-def scalar_green(x: np.ndarray, z: np.ndarray, k: complex) -> complex:
-    R = float(np.linalg.norm(x - z))
-    if R == 0:
-        raise SingularPointError("Green function evaluated at x == z")
-    return -cmath.exp(1j * k * R) / (4.0 * math.pi * R)
-
-
 def _radial_derivs(R: float, k: complex) -> tuple[complex, complex, complex]:
     # f(R) = -exp(ikR)/(4 pi R) and its first two radial derivatives.
     e = -cmath.exp(1j * k * R) / (4.0 * math.pi)

@@ -11,19 +11,26 @@ its spectrum is ``{lambda_mu +/- L, lambda_eps +/- L}`` with
 ``L = shell_np_eigenvalue(n, rho)``, each eigenvalue of multiplicity two.
 Because W0 is non-symmetric, second-order coefficients are computed with the
 analytic left/right (biorthogonal) eigenvectors of the 2x2 coupling blocks.
+
+The geometric coefficients of ``shell_coeffs`` come from the sphere's: the
+same exact product table (``specfun.product_coeffs``) evaluated at the
+radius ratio.  Branch k of the eight is returned as the sphere's
+``EigenExpansion`` with family ``"branchk"`` and basis index k - 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import media as _media
+from . import specfun
 from . import sphere_modes as _sphere
 from .errors import DegeneracyError, DegenerateContrastError, DomainError
-from .sphere_modes import ModeBlock, ResonanceReport
+from .sphere_modes import EigenExpansion, ModeBlock, ResonanceReport
 
 
 @dataclass(frozen=True)
@@ -32,8 +39,8 @@ class ShellGeometry:
     rho: float
 
     def __post_init__(self):
-        if not self.r_s > 0:
-            raise DomainError("outer radius must be positive")
+        if not 0 < self.r_s < math.inf:
+            raise DomainError("outer radius must be positive and finite")
         if not (0.0 < self.rho < 1.0):
             raise DomainError("radius ratio rho must lie in (0, 1)")
 
@@ -66,22 +73,6 @@ class ShellBasis:
     normalizers: np.ndarray   # (8,) w_i . v_i
 
 
-@dataclass(frozen=True)
-class DegenExpansion:
-    """One of the eight branches: tau(r_s) = tau0 + (r_s*omega)^2 * tau2_coeff.
-
-    ``mixing`` lists (partner_branch_index_1based, coefficient) pairs; the
-    first-order eigenvector is E_i + (r_s*omega) * sum(coef * E_partner).
-    """
-
-    branch: int
-    n: int
-    tau0: complex | np.ndarray
-    tau1: complex
-    tau2_coeff: complex | np.ndarray
-    mixing: tuple[tuple[int, complex | np.ndarray], ...]
-
-
 def shell_np_eigenvalue(n: int, rho: float) -> float:
     """Shell Neumann-Poincare eigenvalue magnitude
     ``(1/(2(2n+1))) sqrt(1 + 4n(n+1) rho^(2n+1))``; the spectrum carries both
@@ -93,20 +84,32 @@ def shell_np_eigenvalue(n: int, rho: float) -> float:
     return math.sqrt(1.0 + 4.0 * n * (n + 1) * rho ** (2 * n + 1)) / (2.0 * (2 * n + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _qrs_terms(n: int) -> tuple[tuple[float, float], ...]:
+    """The (tt, t) product-table terms that sum to the sphere's q_n, r_n and
+    s_n, as floats, cached per n."""
+    c = specfun.product_coeffs(n)
+    return tuple((float(sign * c[kind][1]), float(sign * c[kind][2]))
+                 for kind, sign in _sphere.QRS_KINDS)
+
+
 def shell_coeffs(n: int, rho: float) -> ShellCoeffs:
-    """All geometric coefficients of the shell expansion at (n, rho)."""
+    """All geometric coefficients of the shell expansion at (n, rho).
+
+    The tilded q, r, s are the sphere's product expansions evaluated with
+    the radius ratio t/tt = rho: the tt and t terms of each pair carry
+    rho**n and rho**(n+2) (rho**(n+1) and rho**(n+3) for st).
+    """
     if not (0.0 < rho < 1.0):
         raise DomainError("rho must lie in (0, 1)")
     p, q, r, s = (float(c) for c in _sphere.small_r_coeffs(n))
+    (q_tt, q_t), (r_tt, r_t), (s_tt, s_t) = _qrs_terms(n)
     f = rho**n * n / (2 * n + 1)
     g = rho ** (n - 1) * (n + 1) / (2 * n + 1)
     pt = rho ** (n + 1) / (2 * n + 1)
-    qt = (n + 1) * (n - 2) / (2 * (2 * n - 1) * (2 * n + 1)) * rho**n \
-        - n * (n + 3) / (2 * (2 * n + 1) * (2 * n + 3)) * rho ** (n + 2)
-    rt = -(n + 1) / (2 * (2 * n - 1) * (2 * n + 1)) * rho**n \
-        + (n + 3) / (2 * (2 * n + 1) * (2 * n + 3)) * rho ** (n + 2)
-    st = -(n - 2) / (2 * (2 * n - 1) * (2 * n + 1)) * rho ** (n + 1) \
-        + n / (2 * (2 * n + 1) * (2 * n + 3)) * rho ** (n + 3)
+    qt = q_tt * rho**n + q_t * rho ** (n + 2)
+    rt = r_tt * rho**n + r_t * rho ** (n + 2)
+    st = s_tt * rho ** (n + 1) + s_t * rho ** (n + 3)
     return ShellCoeffs(f=f, g=g, p=p, q=q, r=r, s=s, pt=pt, qt=qt, rt=rt, st=st)
 
 
@@ -134,7 +137,7 @@ def shell_blocks(n: int, rho: float, omega: float, med: _media.MediumPair) -> Mo
             "shell_blocks needs magnetic contrast; use shell_degenerate_expansion "
             "for the nonmagnetic eps branches")
     c = shell_coeffs(n, rho)
-    phat = _sphere.half_np_eigenvalue(n)
+    phat = _media.ball_np_eigenvalue(n)
     lam = np.diag([con.lambda_mu, con.lambda_mu, con.lambda_eps, con.lambda_eps]).astype(complex)
     p0 = np.diag([phat, -phat, phat, -phat]).astype(complex)
     q0 = rho**2 * np.diag([c.g, c.f, c.g, c.f]).astype(complex)
@@ -163,7 +166,7 @@ def _pair_vectors(n: int, rho: float):
     """Right/left eigenvector components (upper, lower) per branch, plus
     normalizers, in the pair coordinates."""
     c = shell_coeffs(n, rho)
-    phat = _sphere.half_np_eigenvalue(n)
+    phat = _media.ball_np_eigenvalue(n)
     L = shell_np_eigenvalue(n, rho)
     right = {}
     left = {}
@@ -203,14 +206,15 @@ def shell_basis(n: int, rho: float, med: _media.MediumPair) -> ShellBasis:
 
 
 def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
-                               med: _media.MediumPair) -> list[DegenExpansion]:
+                               med: _media.MediumPair) -> list[EigenExpansion]:
     """The eight second-order eigenvalue branches of the assembled system.
 
     Built by degenerate perturbation theory with the analytic biorthogonal
     eigenvectors of W0 (the second-order coupling matrix is diagonal in this
     basis, so the degenerate pairs split cleanly and the O(r_s) term vanishes
     identically).  For nonmagnetic media only branches 5..8 are returned,
-    with cross terms evaluated in the exact mu_s -> mu_m limit.
+    with cross terms and mixing coefficients evaluated in the exact
+    mu_s -> mu_m limit.
 
     ``omega`` and the medium's permittivities may be arrays over a frequency
     grid; ``tau0``, ``tau2_coeff`` and the mixing coefficients are then
@@ -281,15 +285,15 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
             lcu, lcl = left[cb]
             elem_cb = lcu * y_up + lcl * y_lo       # (w_cb . W1 v_b)
             if nonmag:
-                # elem_bc carries the placeholder C_mu = 1; the 1/gap combines
+                # elem_cb carries the placeholder C_mu = 1; the 1/gap combines
                 # with it into the finite limit eps_m - eps_s.
                 el += elem_bc * elem_cb * cross_limit / norm[cb]
-                mixing.append((cb, 0.0))
+                mixing.append((cb - 1, elem_cb * cross_limit / norm[cb]))
             else:
                 den = norm[cb] * (tau0[b] - tau0[cb])
                 el += elem_bc * elem_cb / den
-                mixing.append((cb, elem_cb / den))
-        out.append(DegenExpansion(branch=b, n=n, tau0=tau0[b], tau1=0.0,
+                mixing.append((cb - 1, elem_cb / den))
+        out.append(EigenExpansion(family=f"branch{b}", n=n, index=b - 1, tau0=tau0[b], tau1=0.0,
                                   tau2_coeff=el / norm[b], mixing=tuple(mixing)))
     return out
 
@@ -321,9 +325,8 @@ def shell_resonances(host: _media.MaterialPreset, geom: ShellGeometry, order: st
                 return _media.contrasts(host.medium_at(w)).lambda_eps + sgn * L
 
             def tau(w: float | np.ndarray) -> complex | np.ndarray:
-                exp = {e.branch: e for e in
-                       shell_degenerate_expansion(n, geom.rho, w, host.medium_at(w))}
-                e = exp[branch]
+                e = next(e for e in shell_degenerate_expansion(n, geom.rho, w, host.medium_at(w))
+                         if e.index == branch - 1)
                 return e.tau0 + (geom.r_s * w) ** 2 * e.tau2_coeff
 
             reports.append(_sphere.resonance_report(fam, n, order, tau_qs, tau,

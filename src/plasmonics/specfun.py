@@ -26,6 +26,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -198,23 +199,27 @@ def wronskian_residual(n: int, z: complex) -> float:
     return abs(j * hr - h * jr - 1j / complex(z))
 
 
-# Three-term small-argument expansions of i * (product), through the linear
-# terms.  Keys: capital letter = Riccati-combined factor on that side,
-# e.g. "Jh" is i * J_n(t) * h_n(tt).
-_PRODUCT_COEFFS = {
-    "Jh": lambda n: ((n + 1) / (2 * n + 1),
-                     (n + 1) / (2 * (2 * n - 1) * (2 * n + 1)),
-                     -(n + 3) / (2 * (2 * n + 1) * (2 * n + 3))),
-    "jH": lambda n: (-n / (2 * n + 1),
-                     (-n + 2) / (2 * (2 * n - 1) * (2 * n + 1)),
-                     n / (2 * (2 * n + 1) * (2 * n + 3))),
-    "jh": lambda n: (1 / (2 * n + 1),
-                     1 / (2 * (2 * n - 1) * (2 * n + 1)),
-                     -1 / (2 * (2 * n + 1) * (2 * n + 3))),
-    "JH": lambda n: (-n * (n + 1) / (2 * n + 1),
-                     (n + 1) * (-n + 2) / (2 * (2 * n - 1) * (2 * n + 1)),
-                     n * (n + 3) / (2 * (2 * n + 1) * (2 * n + 3))),
-}
+@functools.lru_cache(maxsize=None)
+def product_coeffs(n: int) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
+    """Exact three-term small-argument expansions of i * (product), through
+    the linear terms, cached per n >= 1: the single source of the rationals
+    of ``bessel_product_small``, ``sphere_modes.small_r_coeffs`` and
+    ``shell_modes.shell_coeffs``.
+
+    Each kind maps to (lead, tt, t), the coefficients of q/tt, q*tt and
+    q*(t/tt)*t with q = (t/tt)**n.  Keys: capital letter = Riccati-combined
+    factor on that side, e.g. "Jh" is i * J_n(t) * h_n(tt).
+    """
+    if n < 1:
+        raise DomainError("product expansions require n >= 1")
+    lead, d_tt, d_t = 2 * n + 1, 2 * (2 * n - 1) * (2 * n + 1), 2 * (2 * n + 1) * (2 * n + 3)
+    return {
+        "Jh": (Fraction(n + 1, lead), Fraction(n + 1, d_tt), Fraction(-(n + 3), d_t)),
+        "jH": (Fraction(-n, lead), Fraction(-n + 2, d_tt), Fraction(n, d_t)),
+        "jh": (Fraction(1, lead), Fraction(1, d_tt), Fraction(-1, d_t)),
+        "JH": (Fraction(-n * (n + 1), lead), Fraction((n + 1) * (-n + 2), d_tt),
+               Fraction(n * (n + 3), d_t)),
+    }
 
 
 def bessel_product_small(kind: str, n: int, t: complex, tt: complex) -> complex:
@@ -225,10 +230,10 @@ def bessel_product_small(kind: str, n: int, t: complex, tt: complex) -> complex:
     evaluated at ``t`` and the second at ``tt``.  Accurate to O(t^3) for
     |t|, |tt| <= 0.3 with t of the same scale as tt.
     """
-    if kind not in _PRODUCT_COEFFS:
-        raise DomainError(f"unknown product kind {kind!r}; expected one of {sorted(_PRODUCT_COEFFS)}")
-    if n < 1:
-        raise DomainError("product expansions require n >= 1")
+    table = product_coeffs(n)
+    if kind not in table:
+        raise DomainError(f"unknown product kind {kind!r}; expected one of {sorted(table)}")
+    c_lead, c_tt, c_t = (float(c) for c in table[kind])
     t = complex(t)
     tt = complex(tt)
     if t == 0 or tt == 0:
@@ -241,7 +246,6 @@ def bessel_product_small(kind: str, n: int, t: complex, tt: complex) -> complex:
             RegimeWarning,
             stacklevel=2,
         )
-    c_lead, c_tt, c_t = _PRODUCT_COEFFS[kind](n)
     q = (t / tt) ** n
     return c_lead * q / tt + c_tt * q * tt + c_t * q * (t / tt) * t
 
@@ -249,6 +253,37 @@ def bessel_product_small(kind: str, n: int, t: complex, tt: complex) -> complex:
 # ---------------------------------------------------------------------------
 # Vector spherical harmonics
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1024)
+def _legendre_recurrence(nmax: int, mabs: int):
+    """Seed norm sqrt((2m+1)/(4 pi)) (2m-1)!!/sqrt((2m)!) = P[m] / sin(theta)^m
+    and the steps (n, a, b), each ``P[n + 1] = a cos(theta) P[n] - b P[n - 1]``,
+    of the normalized Legendre recurrence for m = mabs >= 0 (from n = 1 for
+    m = 0); cached for the 1024 most recent (nmax, mabs)."""
+    logfact = 0.0  # log of (2m-1)!! / sqrt((2m)!)
+    for k in range(1, 2 * mabs + 1):
+        if k % 2 == 1:
+            logfact += math.log(k)
+        logfact -= 0.5 * math.log(k)
+    norm = math.sqrt((2 * mabs + 1) / (4.0 * math.pi)) * math.exp(logfact)
+    if mabs == 0:
+        steps = tuple((n, math.sqrt((2 * n + 1) * (2 * n + 3)) / (n + 1),
+                       (n / (n + 1.0)) * math.sqrt((2 * n + 3) / (2 * n - 1.0)))
+                      for n in range(1, nmax))
+    else:
+        steps = tuple((n, math.sqrt((2 * n + 1) * (2 * n + 3) / ((n + 1.0 - mabs) * (n + 1.0 + mabs))),
+                       math.sqrt((2 * n + 3) * (n - mabs) * (n + mabs)
+                                 / ((2 * n - 1.0) * (n + 1.0 - mabs) * (n + 1.0 + mabs))))
+                      for n in range(mabs, nmax))
+    return norm, steps
+
+
+def _recur(p, ct, steps) -> None:
+    """Run the recurrence ``steps`` of ``_legendre_recurrence`` upward in
+    place; p rows are floats or arrays over points."""
+    for n, a, b in steps:
+        p[n + 1] = a * ct * p[n] - b * p[n - 1]
+
 
 def _legendre_pi_tau(nmax: int, mabs: int, ct: float, st: float):
     """Normalized associated-Legendre triples (p, pi, tau) for m = mabs >= 0.
@@ -260,39 +295,25 @@ def _legendre_pi_tau(nmax: int, mabs: int, ct: float, st: float):
     p = np.zeros(nmax + 1)
     pi = np.zeros(nmax + 1)
     tau = np.zeros(nmax + 1)
+    norm, steps = _legendre_recurrence(nmax, mabs)
     if mabs == 0:
         p[0] = math.sqrt(1.0 / (4.0 * math.pi))
         dp = np.zeros(nmax + 1)  # dp/d(cos theta)
         if nmax >= 1:
             p[1] = math.sqrt(3.0 / (4.0 * math.pi)) * ct
             dp[1] = math.sqrt(3.0 / (4.0 * math.pi))
-        for n in range(1, nmax):
-            a = math.sqrt((2 * n + 1) * (2 * n + 3)) / (n + 1)
-            b = (n / (n + 1.0)) * math.sqrt((2 * n + 3) / (2 * n - 1.0))
-            p[n + 1] = a * ct * p[n] - b * p[n - 1]
+        _recur(p, ct, steps)
+        for n, a, b in steps:
             dp[n + 1] = a * (p[n] + ct * dp[n]) - b * dp[n - 1]
-        tau = -st * dp
-        return p, pi, tau
+        return p, pi, -st * dp
     # seed at n = m
-    logfact = 0.0  # log of (2m-1)!! / sqrt((2m)!)
-    for k in range(1, 2 * mabs + 1):
-        if k % 2 == 1:
-            logfact += math.log(k)
-        logfact -= 0.5 * math.log(k)
-    norm_mm = math.sqrt((2 * mabs + 1) / (4.0 * math.pi)) * math.exp(logfact)
     stm1 = st ** (mabs - 1)
-    p[mabs] = norm_mm * stm1 * st
-    pi[mabs] = mabs * norm_mm * stm1
-    tau[mabs] = mabs * ct * norm_mm * stm1
-    for n in range(mabs, nmax):
-        a = math.sqrt((2 * n + 1) * (2 * n + 3) / ((n + 1.0 - mabs) * (n + 1.0 + mabs)))
-        b = math.sqrt((2 * n + 3) * (n - mabs) * (n + mabs)
-                      / ((2 * n - 1.0) * (n + 1.0 - mabs) * (n + 1.0 + mabs)))
-        p[n + 1] = a * ct * p[n] - b * p[n - 1]
-        pi[n + 1] = a * ct * pi[n] - b * pi[n - 1]
-    for n in range(mabs, nmax + 1):
-        if n == mabs:
-            continue
+    p[mabs] = norm * stm1 * st
+    pi[mabs] = mabs * norm * stm1
+    tau[mabs] = mabs * ct * norm * stm1
+    _recur(p, ct, steps)
+    _recur(pi, ct, steps)
+    for n in range(mabs + 1, nmax + 1):
         c = (n + mabs) * math.sqrt((2 * n + 1) * (n - mabs) / ((2 * n - 1.0) * (n + mabs)))
         tau[n] = (n * ct * pi[n] - c * pi[n - 1]) / mabs
     return p, pi, tau
@@ -376,26 +397,14 @@ def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int]
     out: dict[tuple[int, int], np.ndarray] = {}
     for mabs in range(0, nmax + 1):
         p = np.zeros((nmax + 1, pts.shape[0]))
+        norm, steps = _legendre_recurrence(nmax, mabs)
         if mabs == 0:
             p[0] = math.sqrt(1.0 / (4.0 * math.pi))
             if nmax >= 1:
                 p[1] = math.sqrt(3.0 / (4.0 * math.pi)) * ct
-            for n in range(1, nmax):
-                a = math.sqrt((2 * n + 1) * (2 * n + 3)) / (n + 1)
-                b = (n / (n + 1.0)) * math.sqrt((2 * n + 3) / (2 * n - 1.0))
-                p[n + 1] = a * ct * p[n] - b * p[n - 1]
         else:
-            logfact = 0.0
-            for k in range(1, 2 * mabs + 1):
-                if k % 2 == 1:
-                    logfact += math.log(k)
-                logfact -= 0.5 * math.log(k)
-            p[mabs] = math.sqrt((2 * mabs + 1) / (4.0 * math.pi)) * math.exp(logfact) * st**mabs
-            for n in range(mabs, nmax):
-                a = math.sqrt((2 * n + 1) * (2 * n + 3) / ((n + 1.0 - mabs) * (n + 1.0 + mabs)))
-                b = math.sqrt((2 * n + 3) * (n - mabs) * (n + mabs)
-                              / ((2 * n - 1.0) * (n + 1.0 - mabs) * (n + 1.0 + mabs)))
-                p[n + 1] = a * ct * p[n] - b * p[n - 1]
+            p[mabs] = norm * st**mabs
+        _recur(p, ct, steps)
         for n in range(max(1, mabs), nmax + 1):
             if mabs == 0:
                 out[(n, 0)] = p[n].astype(complex)

@@ -11,10 +11,14 @@ term, the corrected order adds the (r w)^2 shift.
 Family labels: ``"mu+", "mu-", "eps+", "eps-"`` name the sign of the
 ``1/(2(2n+1))`` offset in the leading term.  For nonmagnetic media only the
 eps families are defined (the magnetic contrast diverges); their second-order
-coefficients are the exact ``mu_c -> mu_m`` limits.  Cross-checks against
-exact Mie spectra show the physically excited dipole family is ``eps+``
-(leading term ``lambda_eps + 1/(2(2n+1))``, zero at ``eps_c = -(n+1)/n
-eps_m``).
+and mixing coefficients are the exact ``mu_c -> mu_m`` limits.  Cross-checks
+against exact Mie spectra show the physically excited dipole family is
+``eps+`` (leading term ``lambda_eps + 1/(2(2n+1))``, zero at ``eps_c =
+-(n+1)/n eps_m``).
+
+The offset is ``media.ball_np_eigenvalue``; ``small_r_coeffs`` sums the exact
+product table ``specfun.product_coeffs``.  Sphere and shell branches are both
+``EigenExpansion``s.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from . import specfun
 from .errors import DegeneracyError, DegenerateContrastError, DomainError
 
 FAMILIES = ("mu+", "mu-", "eps+", "eps-")
+
+#: (product kind, sign) whose linear terms sum to q_n, r_n and s_n
+QRS_KINDS = (("JH", -1), ("Jh", -1), ("jH", 1))
 
 
 @dataclass(frozen=True)
@@ -49,22 +56,25 @@ class ModeBlock:
 
 @dataclass(frozen=True)
 class EigenExpansion:
-    """One eigenvalue branch: tau(r) = tau0 + (r*omega)^2 * tau2_coeff.
+    """One eigenvalue branch of a sphere (``eigen_expansions``) or a shell
+    (``shell_modes.shell_degenerate_expansion``):
+    tau(r) = tau0 + (r*omega)^2 * tau2_coeff, r the (outer) radius.
 
-    The perturbed eigenvector is ``eigvec0 + (r*omega) * eigvec1_coeff *
-    e_partner`` with ``partner`` 0-based; the eigenvector fields are None in
-    the nonmagnetic reduction, where the 4x4 system degenerates to the two
-    eps families.
+    ``family`` is the branch label (``"eps+"`` for a sphere, ``"branch5"``
+    for a shell) and ``index`` its 0-based position in the basis: the
+    (U, V, U, V) mode basis of a sphere, the W0 eigenbasis E1..E8 of a shell.
+    The first-order eigenvector is ``e_index + (r*omega) * sum(coef *
+    e_partner)`` over the ``(partner, coef)`` pairs of ``mixing``, partners
+    0-based in the same basis (for nonmagnetic media, the mu_c -> mu_m limit).
     """
 
     family: str
     n: int
+    index: int
     tau0: complex | np.ndarray
     tau1: complex
     tau2_coeff: complex | np.ndarray
-    eigvec0: np.ndarray | None
-    eigvec1_coeff: complex | np.ndarray | None
-    partner: int | None
+    mixing: tuple[tuple[int, complex | np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -83,22 +93,16 @@ class ResonanceReport:
 def small_r_coeffs(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact rational coefficients (p_n, q_n, r_n, s_n) of the small-radius
     Bessel-product expansions, cached per n: every tau evaluation of a
-    resonance search asks for the same few degrees."""
+    resonance search asks for the same few degrees.
+
+    From the (lead, tt, t) rows of ``specfun.product_coeffs``: p is the jh
+    lead, q = -(JH_tt + JH_t), r = -(Jh_tt + Jh_t), s = jH_tt + jH_t (the
+    kinds and signs of ``QRS_KINDS``).
+    """
     if n < 1:
         raise DomainError("small_r_coeffs requires n >= 1")
-    p = Fraction(1, 2 * n + 1)
-    q = Fraction((n + 1) * (n - 2), 2 * (2 * n - 1) * (2 * n + 1)) \
-        - Fraction(n * (n + 3), 2 * (2 * n + 1) * (2 * n + 3))
-    r = Fraction(-(n + 1), 2 * (2 * n - 1) * (2 * n + 1)) \
-        + Fraction(n + 3, 2 * (2 * n + 1) * (2 * n + 3))
-    s = Fraction(-(n - 2), 2 * (2 * n - 1) * (2 * n + 1)) \
-        + Fraction(n, 2 * (2 * n + 1) * (2 * n + 3))
-    return p, q, r, s
-
-
-def half_np_eigenvalue(n: int) -> float:
-    """Diagonal offset 1/(2(2n+1)) of the leading-order matrix."""
-    return 1.0 / (2.0 * (2 * n + 1.0))
+    c = specfun.product_coeffs(n)
+    return (c["jh"][0], *(sign * (c[kind][1] + c[kind][2]) for kind, sign in QRS_KINDS))
 
 
 def boundary_matrices(n: int, k: complex, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +153,7 @@ def w_blocks(n: int, omega: float, med: _media.MediumPair) -> ModeBlock:
     if abs(lam_mu - lam_eps) < 1e-12:
         raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
     p, q, r, s = (float(c) for c in small_r_coeffs(n))
-    phat = half_np_eigenvalue(n)
+    phat = _media.ball_np_eigenvalue(n)
     c_mu, c_eps, d_mu, d_eps = material_constants(med)
     w0 = np.diag([lam_mu + phat, lam_mu - phat, lam_eps + phat, lam_eps - phat]).astype(complex)
     w1 = np.zeros((4, 4), dtype=complex)
@@ -167,31 +171,28 @@ def eigen_expansions(n: int, omega: float | np.ndarray,
 
     Magnetic media yield the four families with first-order eigenvector
     mixing; nonmagnetic media yield the two eps families with the exact
-    mu_c -> mu_m limit of the second-order coefficient.
+    mu_c -> mu_m limits of the second-order and mixing coefficients.
 
     ``omega`` and the medium's permittivities may be arrays over a frequency
-    grid; the ``tau0``, ``tau2_coeff`` and ``eigvec1_coeff`` fields are then
+    grid; ``tau0``, ``tau2_coeff`` and the mixing coefficients are then
     arrays of the same shape.  A degenerate grid point raises the error a
     scalar call raises there (if several points are degenerate in different
     ways, the order of the checks picks which).
     """
     p, q, r, s = (float(c) for c in small_r_coeffs(n))
-    phat = half_np_eigenvalue(n)
+    phat = _media.ball_np_eigenvalue(n)
     con = _media.contrasts(med)
     lam_eps = con.lambda_eps
     if con.nonmagnetic:
         # C_mu / (lam_eps - lam_mu -+ p) -> eps_m - eps_c as mu_c -> mu_m
-        mu = med.mu_m
-        c_eps = -mu
-        d_eps = -mu * (med.eps_c + med.eps_m)
-        cross = c_eps * (med.eps_m - med.eps_c) * p * q
-        out = []
-        for fam, sign, tail in (("eps+", +1.0, r), ("eps-", -1.0, s)):
-            out.append(EigenExpansion(
-                family=fam, n=n, tau0=lam_eps + sign * phat, tau1=0.0,
-                tau2_coeff=cross + d_eps * tail,
-                eigvec0=None, eigvec1_coeff=None, partner=None))
-        return out
+        c_eps, d_eps = -med.mu_m, -med.mu_m * (med.eps_c + med.eps_m)
+        mix_limit = med.eps_m - med.eps_c
+        cross = c_eps * mix_limit * p * q
+        return [EigenExpansion(family=fam, n=n, index=i, tau0=lam_eps + sign * phat, tau1=0.0,
+                               tau2_coeff=cross + d_eps * tail,
+                               mixing=((partner, mix_limit * coef),))
+                for fam, i, sign, tail, partner, coef in (("eps+", 2, +1.0, r, 1, q),
+                                                          ("eps-", 3, -1.0, s, 0, p))]
     lam_mu = con.lambda_mu
     if _media.any_of(abs(lam_mu - lam_eps) < 1e-12):
         raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
@@ -202,30 +203,14 @@ def eigen_expansions(n: int, omega: float | np.ndarray,
                 "perturbation denominator lambda_mu - lambda_eps -+ p_n vanishes",
                 combination=f"lambda_mu - lambda_eps {sign} p_n")
     cc = c_eps * c_mu * p * q
-    tau2 = {
-        "mu+": cc / (lam_mu - lam_eps + p) + d_mu * r,
-        "mu-": cc / (lam_mu - lam_eps - p) + d_mu * s,
-        "eps+": cc / (lam_eps - lam_mu + p) + d_eps * r,
-        "eps-": cc / (lam_eps - lam_mu - p) + d_eps * s,
-    }
-    tau0 = {"mu+": lam_mu + phat, "mu-": lam_mu - phat,
-            "eps+": lam_eps + phat, "eps-": lam_eps - phat}
-    mixing = {
-        "mu+": (3, c_eps * q / (lam_mu - lam_eps + p)),
-        "mu-": (2, c_eps * p / (lam_mu - lam_eps - p)),
-        "eps+": (1, c_mu * q / (lam_eps - lam_mu + p)),
-        "eps-": (0, c_mu * p / (lam_eps - lam_mu - p)),
-    }
-    out = []
-    for i, fam in enumerate(FAMILIES):
-        e0 = np.zeros(4, dtype=complex)
-        e0[i] = 1.0
-        partner, coef = mixing[fam]
-        out.append(EigenExpansion(
-            family=fam, n=n, tau0=tau0[fam], tau1=0.0,
-            tau2_coeff=tau2[fam],
-            eigvec0=e0, eigvec1_coeff=coef, partner=partner))
-    return out
+    # per family: tau0, gap, d * (r or s), partner, numerator of the mixing
+    rows = ((lam_mu + phat, lam_mu - lam_eps + p, d_mu * r, 3, c_eps * q),
+            (lam_mu - phat, lam_mu - lam_eps - p, d_mu * s, 2, c_eps * p),
+            (lam_eps + phat, lam_eps - lam_mu + p, d_eps * r, 1, c_mu * q),
+            (lam_eps - phat, lam_eps - lam_mu - p, d_eps * s, 0, c_mu * p))
+    return [EigenExpansion(family=fam, n=n, index=i, tau0=t0, tau1=0.0, tau2_coeff=cc / gap + tail,
+                           mixing=((partner, num / gap),))
+            for i, (fam, (t0, gap, tail, partner, num)) in enumerate(zip(FAMILIES, rows))]
 
 
 def _golden_minimize(f, a: float, b: float, tol: float = 1e-10) -> float:

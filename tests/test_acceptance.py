@@ -137,7 +137,7 @@ def test_criterion_06_shell_expansion_order():
             errs.append(abs(ev[np.argmin(np.abs(ev - pred))] - pred))
         slope = np.polyfit(np.log(LADDER), np.log(errs), 1)[0]
         worst_slope = min(worst_slope, slope)
-        assert slope >= 2.7, (e.branch, slope)
+        assert slope >= 2.7, (e.family, slope)
     # degenerate pairs do not interact at first order
     for a in range(8):
         for b in range(8):

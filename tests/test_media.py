@@ -43,6 +43,13 @@ class TestDrude:
         with pytest.raises(DomainError):
             media.DrudeParams(1.0, omega_p, gamma)
 
+    @pytest.mark.parametrize("field, bad", [("eps_inf", math.nan), ("eps_inf", math.inf),
+                                            ("eps_inf", -math.inf), ("omega_p", math.inf),
+                                            ("gamma_damp", math.inf)])
+    def test_non_finite_parameters_refused(self, field, bad):
+        with pytest.raises(DomainError):
+            media.DrudeParams(**{field: bad})
+
     def test_nan_refused(self):
         p = media.DrudeParams(1.0, 1.0, 0.02)
         with pytest.raises(DomainError):
@@ -202,4 +209,19 @@ class TestPresets:
         f = tmp_path / "bad2.txt"
         f.write_text("eps_inf = abc\n")
         with pytest.raises(ConfigError):
+            media.load_material_preset(f)
+
+    @pytest.mark.parametrize("field", ["mu_c", "eps_m", "mu_m"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_host_refused(self, field, bad):
+        with pytest.raises(DomainError):
+            media.MaterialPreset(media.DrudeParams(), **{field: bad})
+
+    @pytest.mark.parametrize("key", ["eps_inf", "omega_p", "gamma", "mu_c_re", "mu_c_im",
+                                     "eps_m", "mu_m"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_number(self, tmp_path, key, bad):
+        f = tmp_path / "bad3.txt"
+        f.write_text(f"# preset\n{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=r"bad3\.txt:2: "):
             media.load_material_preset(f)

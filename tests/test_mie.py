@@ -27,7 +27,7 @@ def _drude_medium(omega, gamma=0.05, eps_m=1.0):
     return media.MediumPair(eps_m, 1.0, media.drude_permittivity(drude, omega), 1.0)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
 def test_geometry_refused(radius):
     with pytest.raises(DomainError):
         mie.SphereGeometry(radius)

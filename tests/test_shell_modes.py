@@ -31,7 +31,7 @@ class TestShellEigenvalue:
         for n in (1, 2, 3):
             for rho in (0.2, 0.5, 0.8):
                 c = sh.shell_coeffs(n, rho)
-                phat = sm.half_np_eigenvalue(n)
+                phat = media.ball_np_eigenvalue(n)
                 L = sh.shell_np_eigenvalue(n, rho)
                 assert abs(L**2 - (phat**2 + c.f * c.g * rho**2)) < 1e-12
 
@@ -60,6 +60,9 @@ class TestShellCoeffs:
             assert abs(c.f - n / (2 * n + 1)) < 1e-9
             assert abs(c.g - (n + 1) / (2 * n + 1)) < 1e-9
             assert abs(c.f * c.g - n * (n + 1) / (2 * n + 1) ** 2) < 1e-9
+            # the tilded coefficients are the sphere's at t/tt = rho = 1
+            for tilde, plain in ((c.pt, c.p), (c.qt, c.q), (c.rt, c.r), (c.st, c.s)):
+                assert abs(tilde - plain) < 1e-9
 
 
 class TestShellBlocks:
@@ -137,7 +140,7 @@ class TestDegenerateExpansion:
                 pred = e.tau0 + (rs * om) ** 2 * e.tau2_coeff
                 errs.append(abs(ev[np.argmin(np.abs(ev - pred))] - pred))
             slope = np.polyfit(np.log(LADDER), np.log(errs), 1)[0]
-            assert slope >= 2.7, (e.branch, slope)
+            assert slope >= 2.7, (e.family, slope)
 
     def test_eigenvector_mixing(self):
         om = 0.6
@@ -149,17 +152,17 @@ class TestDegenerateExpansion:
                 ev, V = np.linalg.eig(blk.assembled(rs))
                 i = np.argmin(np.abs(ev - (e.tau0 + (rs * om) ** 2 * e.tau2_coeff)))
                 v = V[:, i] / np.linalg.norm(V[:, i])
-                pred = basis.vectors[e.branch - 1].astype(complex).copy()
+                pred = basis.vectors[e.index].astype(complex).copy()
                 for partner, coef in e.mixing:
-                    pred += rs * om * coef * basis.vectors[partner - 1]
+                    pred += rs * om * coef * basis.vectors[partner]
                 pred /= np.linalg.norm(pred)
                 assert 1.0 - abs(np.vdot(pred, v)) < 10.0 * rs**2
                 # decompose in the analytic basis to pin each mixing
                 # coefficient, including its frequency factor
                 comps = np.linalg.solve(basis.vectors.T, v)
-                comps = comps / comps[e.branch - 1]
+                comps = comps / comps[e.index]
                 for partner, coef in e.mixing:
-                    assert abs(comps[partner - 1] - rs * om * coef) < 5.0 * rs**2
+                    assert abs(comps[partner] - rs * om * coef) < 5.0 * rs**2
 
     def test_rho_continuity_to_sphere(self):
         om = 0.6
@@ -173,12 +176,17 @@ class TestDegenerateExpansion:
     def test_nonmagnetic_branches(self):
         med = media.MediumPair(1.0, 1.0, -1.7 + 0.1j, 1.0)
         exps = sh.shell_degenerate_expansion(1, 0.5, 0.6, med)
-        assert [e.branch for e in exps] == [5, 6, 7, 8]
+        assert [e.family for e in exps] == ["branch5", "branch6", "branch7", "branch8"]
+        assert [e.index for e in exps] == [4, 5, 6, 7]
         for xi in (1e-4,):
             med_x = media.MediumPair(1.0, 1.0, -1.7 + 0.1j, 1.0 + xi)
-            full = {e.branch: e for e in sh.shell_degenerate_expansion(1, 0.5, 0.6, med_x)}
+            full = {e.family: e for e in sh.shell_degenerate_expansion(1, 0.5, 0.6, med_x)}
             for e in exps:
-                assert abs(full[e.branch].tau2_coeff - e.tau2_coeff) < 100 * xi
+                assert abs(full[e.family].tau2_coeff - e.tau2_coeff) < 100 * xi
+                # the mixing coefficients take the same mu_s -> mu_m limit
+                assert [cb for cb, _ in full[e.family].mixing] == [cb for cb, _ in e.mixing]
+                for (_, want), (_, got) in zip(full[e.family].mixing, e.mixing):
+                    assert abs(want - got) < 100 * xi
 
     def test_near_degenerate_refused(self):
         # engineer lambda_mu = lambda_eps + 2 L at (n, rho) = (1, 0.5)
@@ -203,7 +211,7 @@ class TestDegenerateExpansion:
         want = [sh.shell_degenerate_expansion(2, 0.6, float(w), host.medium_at(float(w)))
                 for w in grid]
         for k, e in enumerate(got):
-            assert e.branch == want[0][k].branch
+            assert e.family == want[0][k].family
             np.testing.assert_allclose(e.tau0, [row[k].tau0 for row in want], rtol=1e-12, atol=0)
             np.testing.assert_allclose(e.tau2_coeff, [row[k].tau2_coeff for row in want],
                                        rtol=1e-12, atol=0)
@@ -273,7 +281,7 @@ class TestShellResonances:
             assert r.omega_star is None and r.tau_at_min is None and r.fwhm_estimate is None
             assert math.isnan(r.shift_from_quasistatic)
 
-    @pytest.mark.parametrize("r_s, rho", [(math.nan, 0.5), (0.1, math.nan)])
+    @pytest.mark.parametrize("r_s, rho", [(math.nan, 0.5), (0.1, math.nan), (math.inf, 0.5)])
     def test_nan_geometry_refused(self, r_s, rho):
         with pytest.raises(DomainError):
             sh.ShellGeometry(r_s, rho)

@@ -62,7 +62,7 @@ class TestBoundaryMatrices:
     def test_small_radius_diagonal(self):
         for n in (1, 2, 4):
             M, _ = sm.boundary_matrices(n, 1.0, 1e-6)
-            phat = sm.half_np_eigenvalue(n)
+            phat = media.ball_np_eigenvalue(n)
             assert abs(M[0, 0] - (-phat)) < 1e-9
             assert abs(M[1, 1] - phat) < 1e-9
 
@@ -169,17 +169,18 @@ class TestEigenExpansions:
         med = _magnetic_medium(om)
         blk = sm.w_blocks(1, om, med)
         for e in sm.eigen_expansions(1, om, med):
-            i0 = int(np.argmax(np.abs(e.eigvec0)))
+            (partner, coef), = e.mixing
             for r in (0.05, 0.02):
                 ev, V = np.linalg.eig(blk.assembled(r))
                 i = np.argmin(np.abs(ev - e.tau0))
                 v = V[:, i]
                 # the partner/base component ratio pins the full first-order
                 # coefficient, including its frequency factor
-                ratio = v[e.partner] / v[i0]
-                assert abs(ratio - r * om * e.eigvec1_coeff) < 3.0 * r**2
-                pred = e.eigvec0.astype(complex).copy()
-                pred[e.partner] += r * om * e.eigvec1_coeff
+                ratio = v[partner] / v[e.index]
+                assert abs(ratio - r * om * coef) < 3.0 * r**2
+                pred = np.zeros(4, dtype=complex)
+                pred[e.index] = 1.0
+                pred[partner] += r * om * coef
                 pred /= np.linalg.norm(pred)
                 assert 1.0 - abs(np.vdot(pred, v / np.linalg.norm(v))) < 4.0 * r**2
 
@@ -187,13 +188,17 @@ class TestEigenExpansions:
         med = media.MediumPair(1.0, 1.0, -2.0 + 0.1j, 1.0)
         exps = sm.eigen_expansions(1, 0.6, med)
         assert [e.family for e in exps] == ["eps+", "eps-"]
-        assert all(e.eigvec0 is None for e in exps)
+        assert [e.index for e in exps] == [2, 3]
         # mu_c -> mu_m limit agrees with small-contrast magnetic evaluation
         for xi in (1e-4,):
             med_x = media.MediumPair(1.0, 1.0, -2.0 + 0.1j, 1.0 + xi)
             full = {e.family: e for e in sm.eigen_expansions(1, 0.6, med_x)}
             for e in exps:
                 assert abs(full[e.family].tau2_coeff - e.tau2_coeff) < 50 * xi
+                (want_partner, want), = full[e.family].mixing
+                (partner, got), = e.mixing
+                assert partner == want_partner
+                assert abs(want - got) < 50 * xi
 
 
 class TestArrayEvaluation:
@@ -207,12 +212,14 @@ class TestArrayEvaluation:
         want = [sm.eigen_expansions(2, float(w), host.medium_at(float(w))) for w in self.GRID]
         for k, e in enumerate(got):
             assert e.family == want[0][k].family
-            for field in ("tau0", "tau2_coeff", "eigvec1_coeff"):
-                if getattr(e, field) is None:
-                    continue
+            for field in ("tau0", "tau2_coeff"):
                 np.testing.assert_allclose(
                     getattr(e, field), [getattr(row[k], field) for row in want],
                     rtol=1e-12, atol=0, err_msg=f"{e.family} {field}")
+            (partner, coef), = e.mixing
+            assert partner == want[0][k].mixing[0][0]
+            np.testing.assert_allclose(coef, [row[k].mixing[0][1] for row in want],
+                                       rtol=1e-12, atol=0, err_msg=f"{e.family} mixing")
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_vanishing_gap_inside_array(self, sign):

@@ -38,11 +38,13 @@ LOSSY_MAGNETIC_SHELL = {
     "drude": {"gamma": 0.05, "mu_c_re": 1.3, "mu_c_im": 0.1},
 }
 FLAG_SHELL = {"geometry": {"radius": 0.2, "rho": 0.6}, "drude": {"gamma": 0.03}}
+LOSSY_SPHERE = {"drude": {"gamma": 0.05}}
 
 #: (name, command, config, extra argv): magnetic shells exercise shell branches
-#: 1-4 and the gap cross terms, which no workload reaches; the last two select
-#: the shell by the ``--geometry`` flag instead of ``[run] geometry``.  None
-#: of them exits nonzero, and none is jittered.
+#: 1-4 and the gap cross terms, which no workload reaches; the flag-shell jobs
+#: select the shell by the ``--geometry`` flag instead of ``[run] geometry``;
+#: the last two write ``modes`` of the nonmagnetic eps+/eps- sphere branches,
+#: lossless and lossy.  None of them exits nonzero, and none is jittered.
 EXTRA = (
     ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
     ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
@@ -50,6 +52,8 @@ EXTRA = (
     ("modes-lossy-magnetic-shell", "modes", LOSSY_MAGNETIC_SHELL, ()),
     ("flag-shell", "resonance", FLAG_SHELL, ("--geometry", "shell", *BOTH)),
     ("modes-flag-shell", "modes", FLAG_SHELL, ("--geometry", "shell")),
+    ("modes-sphere", "modes", {}, ()),
+    ("modes-lossy-sphere", "modes", LOSSY_SPHERE, ()),
 )
 
 
