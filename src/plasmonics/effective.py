@@ -11,7 +11,13 @@ weakly singular surface functional
 
 with d = x - y, evaluated by pole-rotated singularity-subtracted quadrature
 (the subtraction constant is the exact identity surf_int (R d, d)/(4 pi
-|d|^3) dsigma = Tr R / 3 on the unit sphere).
+|d|^3) dsigma = Tr R / 3 on the unit sphere).  The R-independent geometry of
+the inner rule (rotations, |d| and the weighted kernel) is computed for a
+block of outer points in one array pass, with every rounding of the
+per-point rule kept, so w is bit-equal to it.  The harmonics at the rotated
+inner points are still evaluated in one ``scalar_harmonics_grid`` call per
+outer point: one call per block measured no faster, and its temporaries
+grow with the block.
 
 The Maxwell-Garnett tensor is ``eps_m (Id + f M (Id - f M / 3)^{-1})`` with M
 the unit-volume polarization tensor; its validity window shrinks like
@@ -42,11 +48,15 @@ class AnisoPermittivity:
 
     def __post_init__(self):
         r = np.asarray(self.r_matrix, dtype=float)
-        if r.shape != (3, 3) or not np.allclose(r, r.T, atol=1e-14):
+        if r.shape != (3, 3):
+            raise DomainError("R must be a real symmetric 3x3 matrix")
+        if not np.all(np.isfinite(r)):
+            raise DomainError("R must have finite entries")
+        if not np.allclose(r, r.T, atol=1e-14):
             raise DomainError("R must be a real symmetric 3x3 matrix")
         object.__setattr__(self, "r_matrix", r)
-        if self.delta < 0:
-            raise DomainError("delta must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise DomainError("delta must be nonnegative and finite")
 
     def matrix(self) -> np.ndarray:
         return self.eps_c * (np.eye(3) + self.delta * self.r_matrix)
@@ -69,19 +79,33 @@ def q0_eigenvalues(eps_m: complex, eps_c: complex, np_spectrum) -> list[complex]
     return [(eps_m + eps_c) / 2.0 + (eps_m - eps_c) * lam for lam in spectrum]
 
 
-def _rotation_to(direction: np.ndarray) -> np.ndarray:
-    # rotation taking the north pole to ``direction``
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z, direction))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(z, direction)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-    return np.eye(3) + s * K + (1 - c) * (K @ K)
+def _frames(pts: np.ndarray) -> np.ndarray:
+    """Rotations taking the north pole to each row of ``pts``, stacked (N, 3, 3).
+
+    Rodrigues' formula about z x p, with c = p_z; within 1e-14 of a pole the
+    frame is the identity or the half-turn about x.  |z x p| comes from one
+    ``np.dot`` per point: BLAS rounds that sum differently from every
+    elementwise form, and the frames are kept bit-equal to the per-point
+    construction.
+    """
+    c = pts[:, 2]
+    rots = np.tile(np.eye(3), (len(pts), 1, 1))
+    rots[c < -1.0 + 1e-14] = np.diag([1.0, -1.0, -1.0])
+    gen = (c <= 1.0 - 1e-14) & (c >= -1.0 + 1e-14)
+    axis = np.cross(np.array([0.0, 0.0, 1.0]), pts[gen])
+    s = np.sqrt([np.dot(a, a) for a in axis])
+    axis = axis / s[:, None]
+    K = np.zeros((len(axis), 3, 3))
+    K[:, 0, 1], K[:, 0, 2] = -axis[:, 2], axis[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = axis[:, 2], -axis[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -axis[:, 1], axis[:, 0]
+    rots[gen] = (np.eye(3) + s[:, None, None] * K
+                 + (1 - c[gen])[:, None, None] * (K @ K))
+    return rots
+
+
+#: Outer points whose inner-rule geometry is computed in one array pass.
+_BLOCK = 8
 
 
 def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
@@ -108,19 +132,43 @@ def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
     ], axis=1)
     w_inner = (np.outer(wg, np.full_like(phi, wphi))).ravel()
 
+    rots = _frames(pts)
+    # buffers for the inner-rule geometry of a block of outer points
+    yy_buf = np.empty((_BLOCK, len(local), 3))
+    d_buf = np.empty_like(yy_buf)
+    wk_buf, den_buf, t_buf = (np.empty((_BLOCK, len(local))) for _ in range(3))
     w_of_x = np.zeros((len(pts), len(modes)), dtype=complex)
-    for i, x in enumerate(pts):
-        rot = _rotation_to(x)
-        yy = local @ rot.T
-        delta = x[None, :] - yy
-        dist = np.linalg.norm(delta, axis=1)
-        quad = np.einsum("ka,ab,kb->k", delta, r_matrix, delta)
-        kern = quad / (4.0 * math.pi * dist**3)
-        ys_inner = specfun.scalar_harmonics_grid(n, yy)
-        for jdx, nm in enumerate(modes):
-            fy = ys_inner[nm]
-            fx = ys_outer[nm][i]
-            w_of_x[i, jdx] = np.sum(w_inner * kern * (fy - fx)) + fx * trR / 3.0
+    for b0 in range(0, len(pts), _BLOCK):
+        x = pts[b0:b0 + _BLOCK]
+        nb = len(x)
+        yy, d, wk, den, term = yy_buf[:nb], d_buf[:nb], wk_buf[:nb], den_buf[:nb], t_buf[:nb]
+        np.matmul(local, rots[b0:b0 + nb].transpose(0, 2, 1), out=yy)
+        np.subtract(x[:, None, :], yy, out=d)
+        # weighted kernel w_inner (R d, d) / (4 pi |d|^3): the quadratic form
+        # summed term by term in einsum's order, then |d| as np.linalg.norm
+        # computes it, in place
+        wk.fill(0.0)
+        for a in range(3):
+            for b in range(3):
+                np.multiply(d[..., a], r_matrix[a, b], out=term)
+                np.multiply(term, d[..., b], out=term)
+                np.add(wk, term, out=wk)
+        np.multiply(d, d, out=d)
+        np.add.reduce(d, axis=2, out=den)
+        np.sqrt(den, out=den)
+        np.power(den, 3, out=den)
+        np.multiply(4.0 * math.pi, den, out=den)
+        np.divide(wk, den, out=wk)
+        np.multiply(w_inner, wk, out=wk)
+        # one harmonics call per outer point, as in the per-point rule: a
+        # call per block measured no faster, and the tracer's pinned
+        # scalar_harmonics_grid call count stays valid
+        for k in range(nb):
+            i = b0 + k
+            ys_inner = specfun.scalar_harmonics_grid(n, yy[k])
+            for jdx, nm in enumerate(modes):
+                fx = ys_outer[nm][i]
+                w_of_x[i, jdx] = np.sum(wk[k] * (ys_inner[nm] - fx)) + fx * trR / 3.0
     w = np.zeros((len(modes), len(modes)), dtype=complex)
     for ldx, nm in enumerate(modes):
         proj = wts * np.conj(ys_outer[nm])
@@ -136,6 +184,8 @@ def q1_multiplet(aniso: AnisoPermittivity, n: int, degree: int | None = None,
     P = eps_c (Tr(R)/4 * Id - (2n+3)/4 * w); convergence is certified by
     comparing two quadrature degrees (AccuracyError on disagreement).
     """
+    if n < 1:
+        raise DomainError("multiplet degree n must be at least 1")
     if degree is None:
         degree = 2 * n + 8
     if degree < 2 * n + 8:
@@ -171,7 +221,7 @@ def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarra
     coincide within ``merge_tol`` are reported once (the multiplet splits
     into as many resonances as R has distinct eigenvalues).
     """
-    if delta > 0.2:
+    if not delta <= 0.2:
         raise DomainError("first-order anisotropic expansion advised only for delta <= 0.2")
     lam_n = _media.ball_np_eigenvalue(n)
     # P is eps_c times a frequency-independent geometric matrix

@@ -425,14 +425,15 @@ def sphere_quadrature(max_degree: int):
     u, wu = np.polynomial.legendre.leggauss(npts)
     phi = 2.0 * math.pi * np.arange(npts) / npts
     wphi = 2.0 * math.pi / npts
-    ct = u
     st = np.sqrt(1.0 - u * u)
-    pts = np.empty((npts * npts, 3))
-    w = np.empty(npts * npts)
-    k = 0
-    for i in range(npts):
-        for jdx in range(npts):
-            pts[k] = (st[i] * math.cos(phi[jdx]), st[i] * math.sin(phi[jdx]), ct[i])
-            w[k] = wu[i] * wphi
-            k += 1
+    # libm's cos and sin, as the per-point rule took them: numpy may dispatch
+    # its own to SIMD kernels that round differently on some CPUs
+    cos_phi = np.array([math.cos(p) for p in phi])
+    sin_phi = np.array([math.sin(p) for p in phi])
+    pts = np.stack([
+        np.outer(st, cos_phi).ravel(),
+        np.outer(st, sin_phi).ravel(),
+        np.repeat(u, npts),
+    ], axis=1)
+    w = np.repeat(wu * wphi, npts)
     return pts, w

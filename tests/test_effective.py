@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from plasmonics import effective as eff, media
+from plasmonics import effective as eff, media, specfun
 from plasmonics.errors import AccuracyError, DomainError, ResonantCompositeError
 from plasmonics.specfun import ModeIndex
+
+from _oracles import rotation_to, w_matrix_per_point
 
 
 class TestQ0:
@@ -78,6 +80,66 @@ class TestQ1:
             eff.AnisoPermittivity(eps_c=1.0, delta=0.1,
                                   r_matrix=np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1.0]]))
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            eff.AnisoPermittivity(eps_c=1.0, delta=delta, r_matrix=np.eye(3))
+
+    @pytest.mark.parametrize("entry", [(0, 0, math.inf), (1, 1, -math.inf),
+                                       (0, 0, math.nan), (0, 2, math.nan)])
+    def test_nonfinite_r_rejected(self, entry):
+        # checked before symmetry: a NaN fails the symmetry test too, and an
+        # infinite diagonal used to reach the eigensolver
+        i, j, value = entry
+        r = np.eye(3)
+        r[i, j] = r[j, i] = value
+        with pytest.raises(DomainError, match="finite"):
+            eff.AnisoPermittivity(eps_c=1.0, delta=0.1, r_matrix=r)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_multiplet_degree_rejected(self, n):
+        aniso = eff.AnisoPermittivity(eps_c=1.0, delta=0.1, r_matrix=np.eye(3))
+        with pytest.raises(DomainError):
+            eff.q1_multiplet(aniso, n)
+
+
+R_CASES = {
+    "diagonal": np.diag([1.3, 0.2, -0.7]),
+    "traceless": np.diag([1.0, -1.0, 0.0]),
+    "offdiag": np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.5]]),
+    "random": (lambda a: a + a.T)(np.random.default_rng(9).standard_normal((3, 3))),
+}
+
+
+class TestBlockedQuadrature:
+    """The blocked geometry of ``_w_matrix`` against the per-point rule.
+
+    Both outer rules have 4 mod 8 points, so the last, partial block is
+    covered too.
+    """
+
+    @pytest.mark.parametrize("name", sorted(R_CASES))
+    @pytest.mark.parametrize("n, degree", [(1, 10), (1, 16), (2, 12), (2, 18), (3, 14)])
+    def test_w_matrix_bit_equal(self, n, degree, name):
+        r = R_CASES[name]
+        assert np.array_equal(eff._w_matrix(n, r, degree), w_matrix_per_point(n, r, degree))
+
+    @pytest.mark.parametrize("degree", [10, 16])
+    def test_frames_bit_equal_on_outer_rule(self, degree):
+        pts, _ = specfun.sphere_quadrature(degree)
+        assert np.array_equal(eff._frames(pts), np.array([rotation_to(p) for p in pts]))
+
+    def test_frames_pole_branches(self):
+        # the outer rules never come within 1e-14 of a pole: synthetic points
+        # exactly at the poles, inside the 1e-14 band and just outside it
+        cs = [1.0, 1.0 - 5e-15, 1.0 - 1e-14, 1.0 - 3e-14, 0.3,
+              -1.0, -1.0 + 5e-15, -1.0 + 1e-14, -1.0 + 3e-14]
+        pts = np.array([[math.sqrt(1.0 - c * c), 0.0, c] for c in cs])
+        rots = eff._frames(pts)
+        assert np.array_equal(rots, np.array([rotation_to(p) for p in pts]))
+        assert np.array_equal(rots[0], np.eye(3))
+        assert np.array_equal(rots[5], np.diag([1.0, -1.0, -1.0]))
+
 
 class TestAnisoResonance:
     def test_isotropic_reduction(self):
@@ -118,6 +180,19 @@ class TestAnisoResonance:
         drude = media.DrudeParams(1.0, 1.0, 0.02)
         with pytest.raises(DomainError):
             eff.aniso_resonance(drude, 1.0, np.eye(3), delta=0.5)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_nonfinite_delta_rejected(self, delta):
+        # a NaN delta used to pass the bound and return three unfound paths
+        drude = media.DrudeParams(1.0, 1.0, 0.02)
+        with pytest.raises(DomainError):
+            eff.aniso_resonance(drude, 1.0, np.eye(3), delta=delta)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_degree_rejected(self, n):
+        drude = media.DrudeParams(1.0, 1.0, 0.02)
+        with pytest.raises(DomainError):
+            eff.aniso_resonance(drude, 1.0, np.eye(3), delta=0.05, n=n)
 
 
 class TestMaxwellGarnett:

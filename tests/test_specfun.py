@@ -10,7 +10,7 @@ from plasmonics import specfun
 from plasmonics.errors import DomainError, GradedOverflowError, RegimeWarning
 from plasmonics.specfun import Direction, ModeIndex
 
-from _oracles import mp_spherical_jh
+from _oracles import mp_spherical_jh, sphere_quadrature_loop
 
 
 class TestBesselPair:
@@ -259,6 +259,12 @@ class TestHarmonics:
             for nm in [(1, 0), (2, -1), (3, 3)]:
                 y, _, _ = specfun.harmonics(ModeIndex(*nm), Direction.from_vector(pts[i]))
                 assert abs(grid[nm][i] - y) < 1e-14
+
+    def test_sphere_quadrature_matches_pointwise(self):
+        for degree in range(3, 31):
+            pts, w = specfun.sphere_quadrature(degree)
+            ref_pts, ref_w = sphere_quadrature_loop(degree)
+            assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w), degree
 
     def test_mode_index_validation(self):
         with pytest.raises(DomainError):

@@ -39,12 +39,19 @@ LOSSY_MAGNETIC_SHELL = {
 }
 FLAG_SHELL = {"geometry": {"radius": 0.2, "rho": 0.6}, "drude": {"gamma": 0.03}}
 LOSSY_SPHERE = {"drude": {"gamma": 0.05}}
+GENERAL_ANISO = {
+    "aniso": {"r11": 1.3, "r22": 0.7, "r33": -0.4, "r12": 0.3, "r13": -0.2, "r23": 0.5,
+              "delta": 0.05},
+    "drude": {"gamma": 0.03},
+}
 
 #: (name, command, config, extra argv): magnetic shells exercise shell branches
 #: 1-4 and the gap cross terms, which no workload reaches; the flag-shell jobs
 #: select the shell by the ``--geometry`` flag instead of ``[run] geometry``;
-#: the last two write ``modes`` of the nonmagnetic eps+/eps- sphere branches,
-#: lossless and lossy.  None of them exits nonzero, and none is jittered.
+#: two write ``modes`` of the nonmagnetic eps+/eps- sphere branches, lossless
+#: and lossy; the last sets every entry of R, where the workloads leave r13
+#: and r23 at zero, and splits the dipole triplet into three resonances.  None
+#: of them exits nonzero, and none is jittered.
 EXTRA = (
     ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
     ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
@@ -54,6 +61,7 @@ EXTRA = (
     ("modes-flag-shell", "modes", FLAG_SHELL, ("--geometry", "shell")),
     ("modes-sphere", "modes", {}, ()),
     ("modes-lossy-sphere", "modes", LOSSY_SPHERE, ()),
+    ("aniso-general", "aniso", GENERAL_ANISO, ()),
 )
 
 
