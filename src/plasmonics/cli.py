@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import effective, media, mie, quasistatic, shell_modes, sphere_modes
+from . import effective, media, mie, shell_modes, sphere_modes
 from .errors import ConfigError, PlasmonicsError
 from .specfun import Direction
 

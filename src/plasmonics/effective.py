@@ -26,6 +26,7 @@ dist(lambda, spectrum)^(3/5) as the composite approaches resonance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,18 @@ import numpy as np
 from . import media as _media
 from . import specfun
 from .errors import AccuracyError, DomainError, ResonantCompositeError
-from .quasistatic import PolarizationTensor, ball_polarization_tensor
+from .quasistatic import ball_polarization_tensor
 from .sphere_modes import minimize_modulus
+
+#: Ball Neumann-Poincare spectrum that the Maxwell-Garnett validity margin is
+#: measured against: degrees 0..64 and the accumulation point 0.
+_BALL_SPECTRUM = (_media.BALL_LAMBDA0, *_media.ball_np_spectrum(64), 0.0)
+
+#: Radius of the unit-volume ball.
+_UNIT_RADIUS = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
+
+#: Resonances of different multiplet paths closer than this are reported once.
+_MERGE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -69,14 +80,6 @@ class EffectiveTensor:
     remainder_scale: float
     valid: bool
     margin: float
-
-
-def q0_eigenvalues(eps_m: complex, eps_c: complex, np_spectrum) -> list[complex]:
-    """Leading eigenvalues tau_j = (eps_m + eps_c)/2 + (eps_m - eps_c) lambda_j."""
-    spectrum = list(np_spectrum)
-    if not spectrum:
-        raise DomainError("q0_eigenvalues needs a nonempty spectrum")
-    return [(eps_m + eps_c) / 2.0 + (eps_m - eps_c) * lam for lam in spectrum]
 
 
 def _frames(pts: np.ndarray) -> np.ndarray:
@@ -202,31 +205,24 @@ def q1_multiplet(aniso: AnisoPermittivity, n: int, degree: int | None = None,
     return aniso.eps_c * (trR / 4.0 * np.eye(2 * n + 1) - (2 * n + 3) / 4.0 * w)
 
 
-def q1_correction(aniso: AnisoPermittivity, mode: specfun.ModeIndex,
-                  degree: int | None = None) -> complex:
-    """Diagonal first-order shift tau_(j,1) = P[jj] for the mode (n, m)."""
-    P = q1_multiplet(aniso, mode.n, degree)
-    j = mode.m + mode.n
-    return complex(P[j, j])
-
-
 def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarray,
                     delta: float, omega_range: tuple[float, float] = (0.05, 0.99),
-                    n: int = 1, degree: int | None = None,
-                    merge_tol: float = 1e-7) -> list[dict]:
+                    n: int = 1) -> list[dict]:
     """Quasi-static resonances of a weakly anisotropic Drude ball.
 
     Minimizes ``|tau_n(omega) + delta * tau_(k,1)(omega)|`` over omega for
-    each eigenvalue path k of the degree-n multiplet; paths whose minimizers
-    coincide within ``merge_tol`` are reported once (the multiplet splits
-    into as many resonances as R has distinct eigenvalues).
+    each eigenvalue path k of the degree-n multiplet, with the leading
+    eigenvalue ``tau_n = (eps_m + eps_c)/2 + (eps_m - eps_c) lambda_n``;
+    paths whose minimizers coincide within ``_MERGE_TOL`` are reported once
+    (the multiplet splits into as many resonances as R has distinct
+    eigenvalues).
     """
     if not delta <= 0.2:
         raise DomainError("first-order anisotropic expansion advised only for delta <= 0.2")
     lam_n = _media.ball_np_eigenvalue(n)
     # P is eps_c times a frequency-independent geometric matrix
     probe = AnisoPermittivity(eps_c=1.0, delta=delta, r_matrix=np.asarray(r_matrix, dtype=float))
-    geo = q1_multiplet(probe, n, degree)
+    geo = q1_multiplet(probe, n)
     path_vals = np.linalg.eigvalsh((geo + geo.conj().T) / 2.0)
     results = []
     for pv in path_vals:
@@ -244,7 +240,7 @@ def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarra
     merged: list[dict] = []
     for res in sorted(results, key=lambda r: (r["omega_star"] is None, r["omega_star"] or 0.0)):
         if res["found"] and merged and merged[-1]["found"] \
-                and abs(merged[-1]["omega_star"] - res["omega_star"]) <= merge_tol:
+                and abs(merged[-1]["omega_star"] - res["omega_star"]) <= _MERGE_TOL:
             merged[-1]["multiplicity"] += 1
             continue
         res = dict(res)
@@ -254,24 +250,22 @@ def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarra
 
 
 def mg_effective(eps_m: complex, eps_c: complex, f: float,
-                 m_tensor: PolarizationTensor | None = None,
-                 np_spectrum=None, validity_constant: float = 0.1) -> EffectiveTensor:
-    """Maxwell-Garnett effective permittivity of a dilute cubic array.
+                 validity_constant: float = 0.1) -> EffectiveTensor:
+    """Maxwell-Garnett effective permittivity of a dilute cubic array of balls.
 
-    ``m_tensor`` is the polarization tensor of the unit-volume inclusion
-    (defaults to a unit-volume ball at the pole-normalized contrast).  The
-    validity flag requires ``f <= validity_constant * dist^(3/5)`` where dist
-    is the distance of the contrast to the inclusion spectrum; the remainder
-    scale is ``f^(8/3)/dist^2``.
+    M is the polarization tensor of the unit-volume ball at the
+    pole-normalized contrast.  The validity flag requires ``f <=
+    validity_constant * dist^(3/5)`` where dist is the distance of the
+    contrast to the ball spectrum; the remainder scale is
+    ``f^(8/3)/dist^2``.  A non-finite permittivity, such as a Drude value
+    that overflowed at a tiny frequency, is refused.
     """
     if not (0.0 < f < 1.0):
         raise DomainError("volume fraction must lie in (0, 1)")
-    if m_tensor is None:
-        lam = _media.lambda_star(eps_c, eps_m)
-        unit_radius = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
-        m_tensor = ball_polarization_tensor(lam, unit_radius)
-    if np_spectrum is None:
-        np_spectrum = _media.ball_np_spectrum(64, include_zero_degree=True) + [0.0]
+    for name, eps in (("eps_c", eps_c), ("eps_m", eps_m)):
+        if not cmath.isfinite(eps):
+            raise DomainError(f"{name} must be finite, got {complex(eps)!r}")
+    m_tensor = ball_polarization_tensor(_media.lambda_star(eps_c, eps_m), _UNIT_RADIUS)
     M = m_tensor.matrix
     core = np.eye(3) - (f / 3.0) * M
     det = np.linalg.det(core)
@@ -279,7 +273,7 @@ def mg_effective(eps_m: complex, eps_c: complex, f: float,
         raise ResonantCompositeError("Id - f M / 3 is numerically singular")
     inv = np.linalg.inv(core)
     gamma = eps_m * (np.eye(3) + f * (M @ inv))
-    dist = _media.spectral_distance(m_tensor.lam, np_spectrum)
+    dist = _media.spectral_distance(m_tensor.lam, _BALL_SPECTRUM)
     margin = validity_constant * dist ** 0.6 - f
     return EffectiveTensor(
         gamma_star=gamma,

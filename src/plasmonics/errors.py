@@ -30,10 +30,6 @@ class PoleError(DomainError):
     """Evaluation requested exactly at a pole of a resonant quantity."""
 
 
-class SingularPointError(DomainError):
-    """Evaluation requested at a singular point of a kernel (x == z)."""
-
-
 class AccuracyError(PlasmonicsError):
     """A self-certifying numerical procedure failed its convergence check."""
 

@@ -47,12 +47,9 @@ def ball_np_eigenvalue(n: int) -> float:
 BALL_LAMBDA0 = 0.5
 
 
-def ball_np_spectrum(n_max: int, include_zero_degree: bool = False) -> list[float]:
+def ball_np_spectrum(n_max: int) -> list[float]:
     """Ball Neumann-Poincare eigenvalues ``1/(2(2n+1))`` for n = 1..n_max."""
-    eigs = [ball_np_eigenvalue(n) for n in range(1, n_max + 1)]
-    if include_zero_degree:
-        eigs.insert(0, BALL_LAMBDA0)
-    return eigs
+    return [ball_np_eigenvalue(n) for n in range(1, n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -151,15 +148,12 @@ def lambda_star(eps_c: complex, eps_m: complex) -> complex:
     return (eps_c + eps_m) / (2.0 * (eps_c - eps_m))
 
 
-def spectral_distance(lam: complex, spectrum, include_negatives: bool = False) -> float:
-    """Distance from ``lam`` to a finite spectrum (optionally symmetrized)."""
+def spectral_distance(lam: complex, spectrum) -> float:
+    """Distance from ``lam`` to a finite spectrum."""
     spectrum = list(spectrum)
     if not spectrum:
         raise DomainError("spectral_distance requires a nonempty spectrum")
-    vals = list(spectrum)
-    if include_negatives:
-        vals += [-s for s in spectrum]
-    return min(abs(complex(lam) - complex(s)) for s in vals)
+    return min(abs(complex(lam) - complex(s)) for s in spectrum)
 
 
 def wavenumber(eps: complex, mu: complex, omega: float) -> complex:

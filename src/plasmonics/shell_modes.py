@@ -62,17 +62,6 @@ class ShellCoeffs:
     st: float
 
 
-@dataclass(frozen=True)
-class ShellBasis:
-    """Right eigenvectors E1..E8 of W0 (rows of ``vectors``), their
-    eigenvalues, and the matching left eigenvectors/normalizers."""
-
-    vectors: np.ndarray       # (8, 8) right eigenvectors
-    left_vectors: np.ndarray  # (8, 8)
-    taus: np.ndarray          # (8,)
-    normalizers: np.ndarray   # (8,) w_i . v_i
-
-
 def shell_np_eigenvalue(n: int, rho: float) -> float:
     """Shell Neumann-Poincare eigenvalue magnitude
     ``(1/(2(2n+1))) sqrt(1 + 4n(n+1) rho^(2n+1))``; the spectrum carries both
@@ -180,29 +169,6 @@ def _pair_vectors(n: int, rho: float):
             left[b] = (sgn * L - phat, rho**2 * c.f)
         norm[b] = 2.0 * L * (L + sgn * phat) if a in (1, 3) else 2.0 * L * (L - sgn * phat)
     return right, left, norm, L, c
-
-
-def shell_basis(n: int, rho: float, med: _media.MediumPair) -> ShellBasis:
-    """Explicit W0 eigenbasis; each eigenvalue has multiplicity exactly 2."""
-    con = _media.contrasts(med)
-    if con.nonmagnetic:
-        raise DegenerateContrastError("shell basis requires magnetic contrast")
-    right, left, norm, L, _ = _pair_vectors(n, rho)
-    vecs = np.zeros((8, 8), dtype=complex)
-    lefts = np.zeros((8, 8), dtype=complex)
-    taus = np.zeros(8, dtype=complex)
-    norms = np.zeros(8, dtype=complex)
-    lam = {"mu": con.lambda_mu, "eps": con.lambda_eps}
-    for b, (a, sgn, sector) in _BRANCH_DEF.items():
-        up, lo = right[b]
-        vecs[b - 1, a - 1] = up
-        vecs[b - 1, a + 3] = lo
-        up, lo = left[b]
-        lefts[b - 1, a - 1] = up
-        lefts[b - 1, a + 3] = lo
-        taus[b - 1] = lam[sector] + sgn * L
-        norms[b - 1] = norm[b]
-    return ShellBasis(vectors=vecs, left_vectors=lefts, taus=taus, normalizers=norms)
 
 
 def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,

@@ -24,33 +24,18 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, GradedOverflowError, RegimeWarning
+from .errors import DomainError, GradedOverflowError
 
 MAX_DEGREE = 200
 
 # Largest magnitude allowed during the Hankel upward recurrence before the
 # pair is declared out of double-precision range.
 _OVERFLOW_LIMIT = 1e280
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Degree/order pair (n, m) of a spherical-harmonic mode, n >= 1, |m| <= n."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"mode degree must satisfy n >= 1, got n={self.n}")
-        if abs(self.m) > self.n:
-            raise DomainError(f"mode order must satisfy |m| <= n, got (n, m)=({self.n}, {self.m})")
 
 
 @dataclass(frozen=True)
@@ -145,16 +130,22 @@ def bessel_jh_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     h is built by upward recurrence from closed-form seeds; j by downward
     recurrence seeded with a continued-fraction ratio and normalized through
     the cross identity ``j_n h_(n-1) - j_(n-1) h_n = i / z**2`` (robust at
-    zeros of j_0).
+    zeros of j_0).  Where a seed or that normalization divides by a value
+    that under- or overflowed to zero (|z| below about 2e-162, where z*z
+    underflows, or h_n(z) below double range), DomainError names z.
     """
     z = _check_bessel_args(nmax, z)
-    h = _hankel1_seq(nmax, z)
-    j = [0j] * (nmax + 1)
-    if nmax == 0:
-        j[0] = cmath.sin(z) / z
-        return np.array(j), np.array(h)
-    r = _ratio_cf(nmax, z)
-    j_prev = (1j / (z * z)) / (r * h[nmax - 1] - h[nmax])
+    try:
+        h = _hankel1_seq(nmax, z)
+        j = [0j] * (nmax + 1)
+        if nmax == 0:
+            j[0] = cmath.sin(z) / z
+            return np.array(j), np.array(h)
+        r = _ratio_cf(nmax, z)
+        j_prev = (1j / (z * z)) / (r * h[nmax - 1] - h[nmax])
+    except ZeroDivisionError as exc:
+        raise DomainError(
+            f"spherical Bessel pair out of double-precision range at z = {z!r}") from exc
     j[nmax] = r * j_prev
     j[nmax - 1] = j_prev
     for k in range(nmax - 1, 0, -1):
@@ -203,8 +194,7 @@ def wronskian_residual(n: int, z: complex) -> float:
 def product_coeffs(n: int) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
     """Exact three-term small-argument expansions of i * (product), through
     the linear terms, cached per n >= 1: the single source of the rationals
-    of ``bessel_product_small``, ``sphere_modes.small_r_coeffs`` and
-    ``shell_modes.shell_coeffs``.
+    of ``sphere_modes.small_r_coeffs`` and ``shell_modes.shell_coeffs``.
 
     Each kind maps to (lead, tt, t), the coefficients of q/tt, q*tt and
     q*(t/tt)*t with q = (t/tt)**n.  Keys: capital letter = Riccati-combined
@@ -220,34 +210,6 @@ def product_coeffs(n: int) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
         "JH": (Fraction(-n * (n + 1), lead), Fraction((n + 1) * (-n + 2), d_tt),
                Fraction(n * (n + 3), d_t)),
     }
-
-
-def bessel_product_small(kind: str, n: int, t: complex, tt: complex) -> complex:
-    """Small-argument expansion of ``i * (product)`` of Bessel-type factors.
-
-    ``kind`` is one of ``"Jh"``, ``"jH"``, ``"jh"``, ``"JH"`` where a capital
-    letter means the Riccati combination on that side; the first factor is
-    evaluated at ``t`` and the second at ``tt``.  Accurate to O(t^3) for
-    |t|, |tt| <= 0.3 with t of the same scale as tt.
-    """
-    table = product_coeffs(n)
-    if kind not in table:
-        raise DomainError(f"unknown product kind {kind!r}; expected one of {sorted(table)}")
-    c_lead, c_tt, c_t = (float(c) for c in table[kind])
-    t = complex(t)
-    tt = complex(tt)
-    if t == 0 or tt == 0:
-        raise DomainError("product expansion arguments must be nonzero")
-    ratio = abs(t) / abs(tt)
-    if abs(t) > 0.3 or abs(tt) > 0.3 or ratio > 2.0 or ratio < 0.5:
-        warnings.warn(
-            f"arguments |t|={abs(t):.3g}, |tt|={abs(tt):.3g} are outside the "
-            "small-argument regime; expansion error is uncontrolled",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    q = (t / tt) ** n
-    return c_lead * q / tt + c_tt * q * tt + c_t * q * (t / tt) * t
 
 
 # ---------------------------------------------------------------------------
@@ -370,25 +332,11 @@ def harmonics_all(nmax: int, xhat: Direction):
     return Y, U, V
 
 
-def harmonics(idx: ModeIndex, xhat: Direction, conjugate: bool = False):
-    """Scalar harmonic Y and tangential vector harmonics (U, V) at ``xhat``.
-
-    With ``conjugate=True`` the complex conjugates are returned, which by the
-    phase convention here equals the mode ``(n, -m)``.
-    """
-    Y, U, V = harmonics_all(idx.n, xhat)
-    row = mode_row(idx.n, idx.m)
-    y, u, v = Y[row], U[row], V[row]
-    if conjugate:
-        return np.conj(y), np.conj(u), np.conj(v)
-    return y, u, v
-
-
 def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Vectorized orthonormal Y[n, m] over an (N, 3) array of unit vectors.
 
     Returns a dict keyed by (n, m) for 1 <= n <= nmax, |m| <= n, each value a
-    complex array of length N.  Same phase convention as ``harmonics``.
+    complex array of length N.  Same phase convention as ``harmonics_all``.
     """
     pts = np.asarray(points, dtype=float)
     ct = np.clip(pts[:, 2], -1.0, 1.0)

@@ -105,27 +105,13 @@ def small_r_coeffs(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return (c["jh"][0], *(sign * (c[kind][1] + c[kind][2]) for kind, sign in QRS_KINDS))
 
 
-def boundary_matrices(n: int, k: complex, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact 2x2 mode-basis representations (M, L) of the two boundary
-    operators on a sphere of radius r at wavenumber k."""
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    k = complex(k)
-    if k == 0:
-        raise DomainError("wavenumber must be nonzero")
-    kr = k * r
-    j, h = specfun.bessel_pair(n, kr)
-    J, H = specfun.riccati_pair(n, kr)
-    M = np.array([[0.5 - 1j * kr * h * J, 0.0],
-                  [0.0, 0.5 + 1j * kr * j * H]], dtype=complex)
-    L = np.array([[0.0, 1j * k * kr * kr * j * h],
-                  [-1j * k * J * H, 0.0]], dtype=complex)
-    return M, L
-
-
 def material_constants(med: _media.MediumPair) -> tuple[complex, complex, complex, complex]:
     """(C_mu, C_eps, D_mu, D_eps) entering the first/second-order blocks;
-    complex arrays when the medium's permittivities are arrays."""
+    complex arrays when the medium's permittivities are arrays.
+
+    A scalar square beyond double-precision range (a permeability or
+    permittivity of order 1e154 or more) raises DomainError.
+    """
     if med.mu_c == med.mu_m:
         raise DegenerateContrastError("magnetic constants undefined for mu_c == mu_m")
     if _media.any_of(med.eps_c == med.eps_m):
@@ -133,8 +119,12 @@ def material_constants(med: _media.MediumPair) -> tuple[complex, complex, comple
     num = med.mu_c * med.eps_c - med.mu_m * med.eps_m
     c_mu = num / (med.mu_m - med.mu_c)
     c_eps = num / (med.eps_m - med.eps_c)
-    d_mu = (med.eps_c * med.mu_c**2 - med.eps_m * med.mu_m**2) / (med.mu_m - med.mu_c)
-    d_eps = (med.eps_c**2 * med.mu_c - med.eps_m**2 * med.mu_m) / (med.eps_m - med.eps_c)
+    try:
+        d_mu = (med.eps_c * med.mu_c**2 - med.eps_m * med.mu_m**2) / (med.mu_m - med.mu_c)
+        d_eps = (med.eps_c**2 * med.mu_c - med.eps_m**2 * med.mu_m) / (med.eps_m - med.eps_c)
+    except OverflowError as exc:
+        raise DomainError("material constants D_mu, D_eps overflow double precision: "
+                          "a permittivity or permeability is too large") from exc
     return c_mu, c_eps, d_mu, d_eps
 
 

@@ -1,22 +1,39 @@
 """Independent numerical oracles used by the test suite.
 
-These deliberately avoid the package's own evaluation paths: spherical
-Bessel/Hankel values come from mpmath's cylindrical functions at high
-precision, the classical Mie extinction follows the textbook
+The first group deliberately avoids the package's own evaluation paths:
+spherical Bessel/Hankel values come from mpmath's cylindrical functions at
+high precision, the classical Mie extinction follows the textbook
 Riccati-Bessel recurrences, and the polarization tensor is cross-checked by
 a dense Nystrom discretization of the boundary resolvent.
 
-The per-point W_R quadrature below is the exception: it is the reference
-that ``effective._w_matrix``'s blocked geometry must match bit for bit, and
-it evaluates the same singularity-subtracted rule one outer point at a time.
+The second group are references built on the package's primitives, which
+no command needs but the expansions are checked against:
+
+* the exact 2x2 boundary matrices of a sphere (``boundary_matrices``), from
+  which the small-radius coefficients p, q, r, s are fitted;
+* the explicit biorthogonal W0 eigenbasis of a shell (``shell_basis``),
+  compared with a dense eigensolve of ``shell_blocks``;
+* the three-term Bessel-product expansion (``bessel_product_small``), which
+  evaluates the exact table ``specfun.product_coeffs`` that production code
+  sums, so its residual against exact products validates that table;
+* the dipolar forward amplitude and optical-theorem extinction built from
+  polarization tensors (``forward_amplitude``, ``extinction_quasistatic``),
+  the reference of ``mie.extinction(mode="dipole")``.
+
+The per-point W_R quadrature below is the reference that
+``effective._w_matrix``'s blocked geometry must match bit for bit, and it
+evaluates the same singularity-subtracted rule one outer point at a time.
 """
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from plasmonics import specfun
+from plasmonics import media, shell_modes, specfun
+from plasmonics.errors import DegenerateContrastError, DomainError, RegimeWarning
 
 
 def mp_spherical_jh(n, z, dps=50):
@@ -180,3 +197,109 @@ def w_matrix_per_point(n, r_matrix, degree):
         for jdx in range(len(modes)):
             w[jdx, ldx] = np.sum(proj * w_of_x[:, jdx])
     return w
+
+
+def boundary_matrices(n, k, r):
+    """Exact 2x2 mode-basis representations (M, L) of the two boundary
+    operators on a sphere of radius r at wavenumber k."""
+    if r <= 0:
+        raise DomainError("radius must be positive")
+    k = complex(k)
+    if k == 0:
+        raise DomainError("wavenumber must be nonzero")
+    kr = k * r
+    j, h = specfun.bessel_pair(n, kr)
+    J, H = specfun.riccati_pair(n, kr)
+    M = np.array([[0.5 - 1j * kr * h * J, 0.0],
+                  [0.0, 0.5 + 1j * kr * j * H]], dtype=complex)
+    L = np.array([[0.0, 1j * k * kr * kr * j * h],
+                  [-1j * k * J * H, 0.0]], dtype=complex)
+    return M, L
+
+
+@dataclass(frozen=True)
+class ShellBasis:
+    """Right eigenvectors E1..E8 of W0 (rows of ``vectors``), their
+    eigenvalues, and the matching left eigenvectors/normalizers."""
+
+    vectors: np.ndarray       # (8, 8) right eigenvectors
+    left_vectors: np.ndarray  # (8, 8)
+    taus: np.ndarray          # (8,)
+    normalizers: np.ndarray   # (8,) w_i . v_i
+
+
+def shell_basis(n, rho, med):
+    """Explicit W0 eigenbasis of a shell; each eigenvalue has multiplicity
+    exactly 2."""
+    con = media.contrasts(med)
+    if con.nonmagnetic:
+        raise DegenerateContrastError("shell basis requires magnetic contrast")
+    right, left, norm, L, _ = shell_modes._pair_vectors(n, rho)
+    vecs = np.zeros((8, 8), dtype=complex)
+    lefts = np.zeros((8, 8), dtype=complex)
+    taus = np.zeros(8, dtype=complex)
+    norms = np.zeros(8, dtype=complex)
+    lam = {"mu": con.lambda_mu, "eps": con.lambda_eps}
+    for b, (a, sgn, sector) in shell_modes._BRANCH_DEF.items():
+        up, lo = right[b]
+        vecs[b - 1, a - 1] = up
+        vecs[b - 1, a + 3] = lo
+        up, lo = left[b]
+        lefts[b - 1, a - 1] = up
+        lefts[b - 1, a + 3] = lo
+        taus[b - 1] = lam[sector] + sgn * L
+        norms[b - 1] = norm[b]
+    return ShellBasis(vectors=vecs, left_vectors=lefts, taus=taus, normalizers=norms)
+
+
+def bessel_product_small(kind, n, t, tt):
+    """Small-argument expansion of ``i * (product)`` of Bessel-type factors.
+
+    ``kind`` is one of ``"Jh"``, ``"jH"``, ``"jh"``, ``"JH"`` where a capital
+    letter means the Riccati combination on that side; the first factor is
+    evaluated at ``t`` and the second at ``tt``.  Accurate to O(t^3) for
+    |t|, |tt| <= 0.3 with t of the same scale as tt.
+    """
+    table = specfun.product_coeffs(n)
+    if kind not in table:
+        raise DomainError(f"unknown product kind {kind!r}; expected one of {sorted(table)}")
+    c_lead, c_tt, c_t = (float(c) for c in table[kind])
+    t = complex(t)
+    tt = complex(tt)
+    if t == 0 or tt == 0:
+        raise DomainError("product expansion arguments must be nonzero")
+    ratio = abs(t) / abs(tt)
+    if abs(t) > 0.3 or abs(tt) > 0.3 or ratio > 2.0 or ratio < 0.5:
+        warnings.warn(
+            f"arguments |t|={abs(t):.3g}, |tt|={abs(tt):.3g} are outside the "
+            "small-argument regime; expansion error is uncontrolled",
+            RegimeWarning,
+            stacklevel=2,
+        )
+    q = (t / tt) ** n
+    return c_lead * q / tt + c_tt * q * tt + c_t * q * (t / tt) * t
+
+
+def forward_amplitude(d, p, omega, med, m_eps, m_mu):
+    """Quasi-static scattering amplitude in the incidence direction,
+    A(d) = omega mu_m k_m (d x Id) M_mu (d x p) - k_m^2 (Id - d d^t) M_eps p."""
+    k_m, _ = media.wavenumbers(med, omega)
+    dv = d.as_array()
+    p = np.asarray(p, dtype=float)
+    a_mu = omega * med.mu_m * k_m * np.cross(dv, m_mu.matrix @ np.cross(dv, p))
+    a_eps = -(k_m**2) * ((np.eye(3) - np.outer(dv, dv)) @ (m_eps.matrix @ p))
+    return a_mu + a_eps
+
+
+def extinction_quasistatic(d, p, omega, med, m_eps, m_mu):
+    """Optical-theorem extinction from the dipolar amplitude, normalized
+    consistently with the far-field convention E^s ~ -exp(ik|x|)/(4 pi |x|) A;
+    it agrees with the small-r Mie extinction.
+    """
+    p = np.asarray(p, dtype=float)
+    if abs(float(np.dot(p, d.as_array()))) > 1e-12 * np.linalg.norm(p):
+        raise DomainError("polarization must be orthogonal to the incidence direction")
+    k_m, _ = media.wavenumbers(med, omega)
+    fwd = complex(np.dot(p, forward_amplitude(d, p, omega, med, m_eps, m_mu)))
+    fwd /= float(np.dot(p, p))
+    return -fwd.imag / k_m.real

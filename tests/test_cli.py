@@ -206,6 +206,29 @@ class TestExitCodes:
         assert err["message"] == f"[{section}] {key}: {value!r} is not a finite number"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, ini", [
+        ("mg", "[grid]\nomega_min = 1e-160\ncount = 20\n"),
+        ("mg", "[grid]\nomega_min = 1e-200\ncount = 20\n"),
+        ("spectrum", "[grid]\nomega_min = 1e-200\ncount = 5\n"),
+        ("spectrum", "[drude]\nmu_c_re = 1e8\n[grid]\ncount = 5\n"),
+        ("modes", "[run]\ngeometry = shell\n[host]\nmu_m = 1e300\n"),
+    ], ids=["mg-omega-1e-160", "mg-omega-1e-200", "spectrum-omega-1e-200",
+            "spectrum-mu_c-1e8", "modes-shell-mu_m-1e300"])
+    def test_out_of_range_refused(self, tmp_path, capsys, command, ini):
+        # finite inputs whose Drude permittivity, Bessel seeds or material
+        # constants leave double range: a typed refusal, never a NaN artifact
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "out"
+        rc = run([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "DomainError"
+        for art in out.iterdir():
+            text = art.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
     def test_bad_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path)])

@@ -5,29 +5,8 @@ import pytest
 
 from plasmonics import effective as eff, media, specfun
 from plasmonics.errors import AccuracyError, DomainError, ResonantCompositeError
-from plasmonics.specfun import ModeIndex
 
 from _oracles import rotation_to, w_matrix_per_point
-
-
-class TestQ0:
-    def test_equal_media(self):
-        taus = eff.q0_eigenvalues(2.0, 2.0, media.ball_np_spectrum(4))
-        assert all(t == 2.0 for t in taus)
-
-    def test_frohlich_zero(self):
-        # tau = 0 at the dipole eigenvalue iff eps_c = -2 eps_m
-        taus = eff.q0_eigenvalues(1.0, -2.0, [1.0 / 6.0])
-        assert abs(taus[0]) < 1e-15
-
-    def test_affine_ordering(self):
-        spec = media.ball_np_spectrum(6)
-        taus = eff.q0_eigenvalues(1.0, -3.0, spec)  # eps_m - eps_c = 4 > 0
-        assert all(a.real > b.real for a, b in zip(taus, taus[1:]))
-
-    def test_empty(self):
-        with pytest.raises(DomainError):
-            eff.q0_eigenvalues(1.0, 2.0, [])
 
 
 class TestQ1:
@@ -50,7 +29,7 @@ class TestQ1:
         alpha = 0.7
         eps_c = -2.0 + 0.3j
         aniso = eff.AnisoPermittivity(eps_c=eps_c, delta=0.1, r_matrix=alpha * np.eye(3))
-        got = eff.q1_correction(aniso, ModeIndex(n, 0))
+        got = eff.q1_multiplet(aniso, n)[n, n]  # the m = 0 diagonal entry
         want = eps_c * alpha * (0.5 - media.ball_np_eigenvalue(n))
         assert abs(got - want) < 1e-8
 
@@ -67,7 +46,7 @@ class TestQ1:
         # whose Cartesian shift eigenvalue is eps_c R_zz / 3 = 0
         aniso = eff.AnisoPermittivity(eps_c=-2.0, delta=0.1,
                                       r_matrix=np.diag([1.0, -1.0, 0.0]))
-        val = eff.q1_correction(aniso, ModeIndex(1, 0))
+        val = eff.q1_multiplet(aniso, 1)[1, 1]
         assert abs(val) < 1e-9
 
     def test_degree_validation(self):
@@ -226,12 +205,11 @@ class TestMaxwellGarnett:
         # at f = 0.1 the flag is raised far from resonance and trips as the
         # Drude contrast approaches the Frohlich point
         drude = media.DrudeParams(1.0, 1.0, 0.02)
-        spectrum = media.ball_np_spectrum(64, include_zero_degree=True) + [0.0]
         rows = []
         for om in (2.5, 1.5, 0.9, 0.7, 0.62, 0.58):
             eps_c = media.drude_permittivity(drude, om)
             et = eff.mg_effective(1.0, eps_c, 0.1)
-            dist = media.spectral_distance(media.lambda_star(eps_c, 1.0), spectrum)
+            dist = media.spectral_distance(media.lambda_star(eps_c, 1.0), eff._BALL_SPECTRUM)
             rows.append((dist, et.valid, et.margin))
         assert rows[0][1] is True          # far from resonance: valid
         assert rows[-1][1] is False        # near the Frohlich point: tripped

@@ -5,9 +5,10 @@ import pytest
 
 from plasmonics import media, mie, specfun
 from plasmonics.errors import DomainError
-from plasmonics.specfun import Direction, ModeIndex
+from plasmonics.quasistatic import PolarizationTensor, ball_polarization_tensor
+from plasmonics.specfun import Direction
 
-from _oracles import classical_mie_coeffs, classical_mie_extinction
+from _oracles import classical_mie_coeffs, classical_mie_extinction, forward_amplitude
 
 
 def _pw(d=None, p=None):
@@ -157,30 +158,32 @@ class TestAmplitude:
         assert abs(np.dot(a, xhat.as_array())) <= 1e-10 * np.max(np.abs(a))
 
     def test_forward_amplitude_matches_quasistatic_dipole(self):
-        from plasmonics import quasistatic as qs
         om = 0.6
         med = _drude_medium(om)
         r = 0.02
         a_mie = mie.plane_wave_amplitude(mie.SphereGeometry(r), med, om, _pw(),
                                          Direction(0.0, 0.0, 1.0))
-        m_eps = qs.ball_tensor_from_media(med, r)
-        m_mu = qs.PolarizationTensor(np.zeros((3, 3), dtype=complex), 0.0)
-        a_qs = qs.forward_amplitude(Direction(0.0, 0.0, 1.0), np.array([1.0, 0, 0]),
-                                    om, med, m_eps, m_mu)
+        m_eps = ball_polarization_tensor(media.lambda_star(med.eps_c, med.eps_m), r)
+        m_mu = PolarizationTensor(np.zeros((3, 3), dtype=complex), 0.0)
+        a_qs = forward_amplitude(Direction(0.0, 0.0, 1.0), np.array([1.0, 0, 0]),
+                                 om, med, m_eps, m_mu)
         rel = np.max(np.abs(a_mie - a_qs)) / np.max(np.abs(a_qs))
         assert rel <= 5 * abs(om * r)
 
 
 def _mode_terms(geom, med, omega, pw, xhat):
-    # per-mode terms of the amplitude series, one harmonics() call per mode
+    # per-mode terms of the amplitude series, each mode read from
+    # harmonics_all(n) of its own degree n, not from the n_max arrays
     c = mie.scattering_coeffs(geom, med, omega)
     k_m, _ = media.wavenumbers(med, omega)
     p = pw.p_vector()
     terms = {}
     for n in range(1, c.n_max + 1):
+        _, Ud, Vd = specfun.harmonics_all(n, pw.direction)
+        _, Ux, Vx = specfun.harmonics_all(n, xhat)
         for m in range(-n, n + 1):
-            _, ud, vd = specfun.harmonics(ModeIndex(n, m), pw.direction)
-            _, ux, vx = specfun.harmonics(ModeIndex(n, m), xhat)
+            row = specfun.mode_row(n, m)
+            ud, vd, ux, vx = Ud[row], Vd[row], Ux[row], Vx[row]
             wte = np.dot(np.conj(vd), p)
             wtm = np.dot(np.conj(ud), p)
             terms[(n, m)] = (4.0 * math.pi) ** 2 / k_m * 1j * (c.s_te[n] * wte * vx

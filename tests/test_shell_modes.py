@@ -6,6 +6,8 @@ import pytest
 from plasmonics import media, shell_modes as sh, sphere_modes as sm
 from plasmonics.errors import DegeneracyError, DegenerateContrastError, DomainError
 
+from _oracles import shell_basis
+
 LADDER = [0.08, 0.04, 0.02, 0.01]
 
 
@@ -91,7 +93,7 @@ class TestShellBlocks:
     def test_basis_eigenrelations(self):
         med = _magnetic_medium()
         blk = sh.shell_blocks(2, 0.5, 0.6, med)
-        basis = sh.shell_basis(2, 0.5, med)
+        basis = shell_basis(2, 0.5, med)
         for i in range(8):
             v = basis.vectors[i]
             w = basis.left_vectors[i]
@@ -117,7 +119,7 @@ class TestDegenerateExpansion:
     def test_tau1_zero_and_first_order_block_vanishes(self):
         med = _magnetic_medium()
         blk = sh.shell_blocks(1, 0.5, 0.6, med)
-        basis = sh.shell_basis(1, 0.5, med)
+        basis = shell_basis(1, 0.5, med)
         exps = sh.shell_degenerate_expansion(1, 0.5, 0.6, med)
         assert all(e.tau1 == 0.0 for e in exps)
         # within-group first-order coupling is exactly zero
@@ -146,7 +148,7 @@ class TestDegenerateExpansion:
         om = 0.6
         med = _magnetic_medium(om)
         blk = sh.shell_blocks(1, 0.5, om, med)
-        basis = sh.shell_basis(1, 0.5, med)
+        basis = shell_basis(1, 0.5, med)
         for e in sh.shell_degenerate_expansion(1, 0.5, om, med):
             for rs in (0.04, 0.01):
                 ev, V = np.linalg.eig(blk.assembled(rs))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from plasmonics import specfun
 from plasmonics.errors import DomainError, GradedOverflowError, RegimeWarning
-from plasmonics.specfun import Direction, ModeIndex
+from plasmonics.specfun import Direction, mode_row
 
-from _oracles import mp_spherical_jh, sphere_quadrature_loop
+from _oracles import bessel_product_small, mp_spherical_jh, sphere_quadrature_loop
 
 
 class TestBesselPair:
@@ -106,10 +106,10 @@ class TestBesselProductSmall:
     def test_leading_terms(self):
         t = 0.01
         # i j_1 h_1 = 1/(2n+1) (t/tt)^n / tt * (1 + O(t^2)) at the leading order
-        val = specfun.bessel_product_small("jh", 1, t, t)
+        val = bessel_product_small("jh", 1, t, t)
         assert abs(val * 3.0 * t - 1.0) < 5e-4
         # i J_1 H_1 leading coefficient -n(n+1)/(2n+1) = -2/3
-        val = specfun.bessel_product_small("JH", 1, 1e-6, 1e-6)
+        val = bessel_product_small("JH", 1, 1e-6, 1e-6)
         assert abs(val * 1e-6 - (-2.0 / 3.0)) < 1e-9
 
     @staticmethod
@@ -125,7 +125,7 @@ class TestBesselProductSmall:
         errs = []
         ts = [0.1 * 2.0**-k for k in range(6)]
         for t in ts:
-            errs.append(abs(specfun.bessel_product_small(kind, n, t, t)
+            errs.append(abs(bessel_product_small(kind, n, t, t)
                             - self._exact_product(kind, n, t)))
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert slope >= 2.7
@@ -136,7 +136,7 @@ class TestBesselProductSmall:
         # t^3, which the three-term series omits: the residual is O(t^2),
         # not O(t^3).  Pin that behavior so it cannot silently regress.
         ts = [0.1 * 2.0**-k for k in range(6)]
-        errs = [abs(specfun.bessel_product_small(kind, 1, t, t)
+        errs = [abs(bessel_product_small(kind, 1, t, t)
                     - self._exact_product(kind, 1, t)) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert 1.9 <= slope <= 2.1
@@ -146,23 +146,23 @@ class TestBesselProductSmall:
         J, _ = specfun.riccati_pair(2, t)
         _, h = specfun.bessel_pair(2, tt)
         exact = 1j * J * h
-        appr = specfun.bessel_product_small("Jh", 2, t, tt)
+        appr = bessel_product_small("Jh", 2, t, tt)
         assert abs(appr - exact) < abs(exact) * 5e-3
 
     def test_regime_warning(self):
         with pytest.warns(RegimeWarning):
-            specfun.bessel_product_small("jh", 1, 0.5, 0.5)
+            bessel_product_small("jh", 1, 0.5, 0.5)
         with pytest.warns(RegimeWarning):
-            specfun.bessel_product_small("jh", 1, 0.01, 0.2)
+            bessel_product_small("jh", 1, 0.01, 0.2)
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):
-            specfun.bessel_product_small("hh", 1, 0.01, 0.01)
+            bessel_product_small("hh", 1, 0.01, 0.01)
 
 
 class TestHarmonics:
     def test_pole_value(self):
-        y, _, _ = specfun.harmonics(ModeIndex(1, 0), Direction(0.0, 0.0, 1.0))
+        y = specfun.harmonics_all(1, Direction(0.0, 0.0, 1.0))[0][mode_row(1, 0)]
         assert abs(y - math.sqrt(3.0 / (4.0 * math.pi))) < 1e-14
 
     @settings(max_examples=30, deadline=None)
@@ -174,20 +174,18 @@ class TestHarmonics:
         if np.linalg.norm(v) < 1e-3:
             v = np.array([0.3, -0.2, 1.0])
         d = Direction.from_vector(v)
-        m = n // 2
-        _, u, w = specfun.harmonics(ModeIndex(n, m), d)
+        _, U, V = specfun.harmonics_all(n, d)
+        u, w = U[mode_row(n, n // 2)], V[mode_row(n, n // 2)]
         x = d.as_array()
         assert abs(np.dot(u, x)) < 1e-13
         assert abs(np.dot(w, x)) < 1e-13
 
     def test_conjugation_convention(self):
-        d = Direction.from_vector([0.3, -0.5, 0.81])
-        y1, u1, v1 = specfun.harmonics(ModeIndex(3, 2), d)
-        y2, u2, v2 = specfun.harmonics(ModeIndex(3, -2), d)
-        assert abs(np.conj(y1) - y2) < 1e-15
-        assert np.max(np.abs(np.conj(u1) - u2)) < 1e-15
-        yc, uc, vc = specfun.harmonics(ModeIndex(3, 2), d, conjugate=True)
-        assert abs(yc - y2) < 1e-15
+        # conj(Y[n, m]) == Y[n, -m], and likewise for U
+        Y, U, _ = specfun.harmonics_all(3, Direction.from_vector([0.3, -0.5, 0.81]))
+        plus, minus = mode_row(3, 2), mode_row(3, -2)
+        assert abs(np.conj(Y[plus]) - Y[minus]) < 1e-15
+        assert np.max(np.abs(np.conj(U[plus]) - U[minus])) < 1e-15
 
     def test_orthonormality(self):
         nmax = 4
@@ -197,7 +195,7 @@ class TestHarmonics:
         for a in modes:
             for b in modes:
                 want = 1.0 if a == b else 0.0
-                ra, rb = specfun.mode_row(*a), specfun.mode_row(*b)
+                ra, rb = mode_row(*a), mode_row(*b)
                 yy = sum(wi * h[0][ra] * np.conj(h[0][rb]) for wi, h in zip(w, hs))
                 uu = sum(wi * np.dot(h[1][ra], np.conj(h[1][rb])) for wi, h in zip(w, hs))
                 uv = sum(wi * np.dot(h[1][ra], np.conj(h[2][rb])) for wi, h in zip(w, hs))
@@ -207,24 +205,26 @@ class TestHarmonics:
 
     @pytest.mark.parametrize("v", [[0.3, -0.5, 0.81], [0.0, 0.0, 1.0], [-0.6, 0.0, -0.8]])
     def test_packed_rows_match_harmonics(self, v):
+        # the packed rows are the modes in mode_row order, and a row does not
+        # depend on nmax: it equals the same row of harmonics_all(n)
         nmax = 5
         d = Direction.from_vector(v)
         Y, U, V = specfun.harmonics_all(nmax, d)
         size = nmax * (nmax + 2)
         assert Y.shape == (size,) and U.shape == (size, 3) and V.shape == (size, 3)
-        rows = [specfun.mode_row(n, m) for n in range(1, nmax + 1) for m in range(-n, n + 1)]
+        rows = [mode_row(n, m) for n in range(1, nmax + 1) for m in range(-n, n + 1)]
         assert rows == list(range(size))
         for n in range(1, nmax + 1):
+            Yn, Un, Vn = specfun.harmonics_all(n, d)
             for m in range(-n, n + 1):
-                y, u, w = specfun.harmonics(ModeIndex(n, m), d)
-                row = specfun.mode_row(n, m)
-                assert Y[row] == y
-                assert np.array_equal(U[row], u) and np.array_equal(V[row], w)
+                row = mode_row(n, m)
+                assert Y[row] == Yn[row]
+                assert np.array_equal(U[row], Un[row]) and np.array_equal(V[row], Vn[row])
 
     def test_packed_arrays_read_only(self):
         d = Direction.from_vector([0.3, -0.5, 0.81])
         Y, U, V = specfun.harmonics_all(3, d)
-        _, u, _ = specfun.harmonics(ModeIndex(2, 1), d)
+        u = specfun.harmonics_all(2, d)[1][mode_row(2, 1)]
         for arr in (Y, U, V, u):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -248,7 +248,7 @@ class TestHarmonics:
         pts, w = specfun.sphere_quadrature(8)
         total = 0.0
         for p, wi in zip(pts, w):
-            _, u, _ = specfun.harmonics(ModeIndex(2, 1), Direction.from_vector(p))
+            u = specfun.harmonics_all(2, Direction.from_vector(p))[1][mode_row(2, 1)]
             total += wi * np.dot(u, np.conj(u)).real
         assert abs(total - 1.0) < 1e-10
 
@@ -257,7 +257,7 @@ class TestHarmonics:
         grid = specfun.scalar_harmonics_grid(3, pts)
         for i in (0, 7, 19):
             for nm in [(1, 0), (2, -1), (3, 3)]:
-                y, _, _ = specfun.harmonics(ModeIndex(*nm), Direction.from_vector(pts[i]))
+                y = specfun.harmonics_all(nm[0], Direction.from_vector(pts[i]))[0][mode_row(*nm)]
                 assert abs(grid[nm][i] - y) < 1e-14
 
     def test_sphere_quadrature_matches_pointwise(self):
@@ -266,11 +266,7 @@ class TestHarmonics:
             ref_pts, ref_w = sphere_quadrature_loop(degree)
             assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w), degree
 
-    def test_mode_index_validation(self):
-        with pytest.raises(DomainError):
-            ModeIndex(0, 0)
-        with pytest.raises(DomainError):
-            ModeIndex(2, 3)
+    def test_direction_validation(self):
         with pytest.raises(DomainError):
             Direction(1.0, 1.0, 0.0)
 

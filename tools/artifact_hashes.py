@@ -44,14 +44,19 @@ GENERAL_ANISO = {
               "delta": 0.05},
     "drude": {"gamma": 0.03},
 }
+MG_HOST = {"host": {"eps_m": 2.25}, "drude": {"gamma": 0.05},
+           "mg": {"f": 0.1, "validity_constant": 0.3}}
 
 #: (name, command, config, extra argv): magnetic shells exercise shell branches
 #: 1-4 and the gap cross terms, which no workload reaches; the flag-shell jobs
 #: select the shell by the ``--geometry`` flag instead of ``[run] geometry``;
 #: two write ``modes`` of the nonmagnetic eps+/eps- sphere branches, lossless
-#: and lossy; the last sets every entry of R, where the workloads leave r13
-#: and r23 at zero, and splits the dipole triplet into three resonances.  None
-#: of them exits nonzero, and none is jittered.
+#: and lossy; ``aniso-general`` sets every entry of R, where the workloads
+#: leave r13 and r23 at zero, and splits the dipole triplet into three
+#: resonances; ``mg-host`` is the only job with a non-vacuum host and a
+#: non-default validity constant, so it pins ``valid``, ``margin`` and
+#: ``remainder_scale`` away from the defaults.  None of them exits nonzero,
+#: and none is jittered.
 EXTRA = (
     ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
     ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
@@ -62,6 +67,7 @@ EXTRA = (
     ("modes-sphere", "modes", {}, ()),
     ("modes-lossy-sphere", "modes", LOSSY_SPHERE, ()),
     ("aniso-general", "aniso", GENERAL_ANISO, ()),
+    ("mg-host", "mg", MG_HOST, ()),
 )
 
 
