@@ -27,6 +27,7 @@ diagnostics on stderr).
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import math
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import effective, media, mie, shell_modes, sphere_modes
-from .errors import ConfigError, PlasmonicsError
+from .errors import ConfigError, PlasmonicsError, non_finite_artifact
 from .specfun import Direction
 
 
@@ -139,7 +140,13 @@ class RunConfig:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON; a NaN or an infinity in it is refused with
+    DomainError, and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise non_finite_artifact(path.name) from exc
+    path.write_text(text + "\n")
 
 
 def _report_payload(rep) -> dict:
@@ -179,6 +186,8 @@ def cmd_modes(cfg: RunConfig, out: Path, n_cut: int = 3) -> int:
     for n in range(1, n_cut + 1):
         rows += (sphere_modes.eigen_expansions(n, om, med) if cfg.geometry == "sphere"
                  else shell_modes.shell_degenerate_expansion(n, cfg.rho, om, med))
+    if not all(cmath.isfinite(e.tau0) and cmath.isfinite(e.tau2_coeff) for e in rows):
+        raise non_finite_artifact("modes.csv")
     with open(out / "modes.csv", "w", newline="\n") as fh:
         fh.write("family,n,omega,tau0_re,tau0_im,tau2_re,tau2_im\n")
         for e in rows:
@@ -189,22 +198,14 @@ def cmd_modes(cfg: RunConfig, out: Path, n_cut: int = 3) -> int:
 
 
 def cmd_resonance(cfg: RunConfig, out: Path, order: str, n_cut: int = 2) -> int:
-    reports = []
     rng = (cfg.omega_min, cfg.omega_max)
-    orders = ("quasistatic", "corrected") if order == "both" else (order,)
     if cfg.geometry == "sphere":
-        families = ("eps+", "eps-") if cfg.host.medium_at(1.0).nonmagnetic \
-            else sphere_modes.FAMILIES
-        for o in orders:
-            for fam in families:
-                for n in range(1, n_cut + 1):
-                    reports.append(sphere_modes.find_resonance(
-                        fam, n, cfg.host, cfg.radius, o, omega_range=rng))
+        reports = sphere_modes.sphere_resonances(cfg.host, cfg.radius, order, n_cut=n_cut,
+                                                 omega_range=rng)
     else:
         geom = shell_modes.ShellGeometry(cfg.radius, cfg.rho)
-        for o in orders:
-            reports.extend(shell_modes.shell_resonances(
-                cfg.host, geom, o, n_cut=n_cut, omega_range=rng))
+        reports = shell_modes.shell_resonances(cfg.host, geom, order, n_cut=n_cut,
+                                               omega_range=rng)
     _write_json(out / "resonance.json", {"reports": [_report_payload(r) for r in reports]})
     return 0
 

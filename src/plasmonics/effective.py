@@ -26,7 +26,6 @@ dist(lambda, spectrum)^(3/5) as the composite approaches resonance.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -257,14 +256,10 @@ def mg_effective(eps_m: complex, eps_c: complex, f: float,
     pole-normalized contrast.  The validity flag requires ``f <=
     validity_constant * dist^(3/5)`` where dist is the distance of the
     contrast to the ball spectrum; the remainder scale is
-    ``f^(8/3)/dist^2``.  A non-finite permittivity, such as a Drude value
-    that overflowed at a tiny frequency, is refused.
+    ``f^(8/3)/dist^2``.
     """
     if not (0.0 < f < 1.0):
         raise DomainError("volume fraction must lie in (0, 1)")
-    for name, eps in (("eps_c", eps_c), ("eps_m", eps_m)):
-        if not cmath.isfinite(eps):
-            raise DomainError(f"{name} must be finite, got {complex(eps)!r}")
     m_tensor = ball_polarization_tensor(_media.lambda_star(eps_c, eps_m), _UNIT_RADIUS)
     M = m_tensor.matrix
     core = np.eye(3) - (f / 3.0) * M

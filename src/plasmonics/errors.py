@@ -9,6 +9,11 @@ class DomainError(PlasmonicsError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+def non_finite_artifact(name: str) -> DomainError:
+    """The refusal of an artifact that would hold a NaN or an infinity."""
+    return DomainError(f"{name}: a computed value is not finite; the artifact is not written")
+
+
 class GradedOverflowError(PlasmonicsError, OverflowError):
     """A special-function value exceeds double-precision range for the
     requested order/argument combination."""

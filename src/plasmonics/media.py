@@ -70,6 +70,11 @@ class DrudeParams:
             raise DomainError(f"eps_inf must be finite, got {self.eps_inf!r}")
         if not 0 < self.omega_p < math.inf:
             raise DomainError("omega_p must be positive and finite")
+        try:
+            self.omega_p**2
+        except OverflowError as exc:
+            raise DomainError(f"omega_p**2 overflows double precision: omega_p = {self.omega_p!r}"
+                              ) from exc
         if not 0 <= self.gamma_damp < math.inf:
             raise DomainError("gamma_damp must be nonnegative and finite")
 
@@ -111,11 +116,16 @@ def drude_permittivity(p: DrudeParams, omega: float | np.ndarray) -> complex | n
 
     ``omega`` is a float or an array of them; the result is a complex or a
     complex array of the same shape.  A NaN frequency is refused like a
-    nonpositive one.
+    nonpositive one, and so is a permittivity beyond double-precision range
+    (omega_p**2 / omega**2 overflows, as at omega = 1e-160).
     """
     if not all_of(omega > 0):
         raise DomainError("drude_permittivity requires omega > 0")
-    return p.eps_inf - p.omega_p**2 / (omega * (omega + 1j * p.gamma_damp))
+    eps = p.eps_inf - p.omega_p**2 / (omega * (omega + 1j * p.gamma_damp))
+    if not (np.isfinite(eps).all() if isinstance(eps, _ndarray) else cmath.isfinite(eps)):
+        raise DomainError("Drude permittivity overflows double precision: "
+                          f"omega_p**2 / omega**2 too large for omega_p = {p.omega_p!r}")
+    return eps
 
 
 def contrasts(m: MediumPair) -> Contrasts:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import media as _media
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, non_finite_artifact
 from .specfun import Direction
 
 
@@ -242,7 +243,10 @@ def scan_spectrum(geom: SphereGeometry, media_fn, omegas, pw: PlaneWave,
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> None:
-    """CSV export: header ``omega,qext``, 17 significant digits, LF endings."""
+    """CSV export: header ``omega,qext``, 17 significant digits, LF endings.
+    A non-finite value is refused with DomainError, and nothing is written."""
+    if not (np.isfinite(spec.omega).all() and np.isfinite(spec.qext).all()):
+        raise non_finite_artifact(Path(path).name)
     with open(path, "w", newline="\n") as fh:
         fh.write("omega,qext\n")
         for w, q in zip(spec.omega, spec.qext):

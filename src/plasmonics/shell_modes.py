@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -91,7 +92,7 @@ def shell_coeffs(n: int, rho: float) -> ShellCoeffs:
     """
     if not (0.0 < rho < 1.0):
         raise DomainError("rho must lie in (0, 1)")
-    p, q, r, s = (float(c) for c in _sphere.small_r_coeffs(n))
+    p, q, r, s = _sphere.small_r_floats(n)
     (q_tt, q_t), (r_tt, r_t), (s_tt, s_t) = _qrs_terms(n)
     f = rho**n * n / (2 * n + 1)
     g = rho ** (n - 1) * (n + 1) / (2 * n + 1)
@@ -151,9 +152,14 @@ _BRANCH_DEF = {
 }
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _pair_vectors(n: int, rho: float):
     """Right/left eigenvector components (upper, lower) per branch, plus
-    normalizers, in the pair coordinates."""
+    normalizers, in the pair coordinates; with L and ``shell_coeffs``.
+
+    These depend on (n, rho) alone, so they are computed once per (n, rho)
+    and returned read-only: mappings from branch to value.
+    """
     c = shell_coeffs(n, rho)
     phat = _media.ball_np_eigenvalue(n)
     L = shell_np_eigenvalue(n, rho)
@@ -168,7 +174,101 @@ def _pair_vectors(n: int, rho: float):
             right[b] = (sgn * L - phat, c.g)
             left[b] = (sgn * L - phat, rho**2 * c.f)
         norm[b] = 2.0 * L * (L + sgn * phat) if a in (1, 3) else 2.0 * L * (L - sgn * phat)
-    return right, left, norm, L, c
+    return MappingProxyType(right), MappingProxyType(left), MappingProxyType(norm), L, c
+
+
+class _ShellRows:
+    """The guards of one degree-n shell expansion at one medium, all run on
+    construction, and the constants that its branch rows share.
+
+    ``shell_degenerate_expansion`` builds every row; the corrected tau of a
+    resonance search builds only the row of its branch.  ``branches`` are
+    the branches defined for the medium.
+    """
+
+    def __init__(self, n: int, rho: float, med: _media.MediumPair):
+        con = _media.contrasts(med)
+        self.right, self.left, self.norm, L, self.c = _pair_vectors(n, rho)
+        self.n, self.rho, self.L = n, rho, L
+        self.nonmagnetic = con.nonmagnetic
+        lam_eps = con.lambda_eps
+        if self.nonmagnetic:
+            self.c_mu, self.c_eps = 1.0, -med.mu_m  # C_mu enters only via its lambda_mu limit
+            self.d_eps = -med.mu_m * (med.eps_c + med.eps_m)
+            self.lam = {"eps": lam_eps}
+            self.branches = (5, 6, 7, 8)
+            self.cross_limit = med.eps_m - med.eps_c   # lim C_mu / (tau_eps - tau_mu)
+            return
+        lam_mu = con.lambda_mu
+        if _media.any_of(abs(lam_mu - lam_eps) < 1e-8):
+            raise DegeneracyError("lambda_mu - lambda_eps below tolerance",
+                                  combination="lambda_mu - lambda_eps")
+        for s1 in (+1, -1):
+            gap = lam_mu - lam_eps + 2 * s1 * L
+            if _media.any_of(abs(gap) < 1e-8):
+                raise DegeneracyError("lambda_mu - lambda_eps -/+ 2L below tolerance",
+                                      combination=f"lambda_mu - lambda_eps {'+' if s1 > 0 else '-'} 2L")
+        self.c_mu, self.c_eps, self.d_mu, self.d_eps = _sphere.material_constants(med)
+        self.lam = {"mu": lam_mu, "eps": lam_eps}
+        self.branches = (1, 2, 3, 4, 5, 6, 7, 8)
+
+    # Coordinate pairs (e_a, e_{a+4}), a = 1..4, close under W0 and W2; W1
+    # maps pair a to pair 5 - a.  Pairs 1, 2 are the mu sector, 3, 4 the eps
+    # sector; odd pairs take the (q, r) coefficients, even pairs (p, s).
+    def _w1(self, a: int, up, lo):
+        """The omega-stripped W1 on a pair-a vector; the result is in pair 5 - a."""
+        c, rho = self.c, self.rho
+        k = self.c_eps if a < 3 else self.c_mu
+        col_p = k * (c.q if a % 2 else c.p)
+        col_q = k * (c.qt if a % 2 else c.pt)
+        return up * col_p + lo * rho * col_q, up * (-col_q / rho) - lo * col_p
+
+    def _w2(self, a: int, up, lo):
+        """The omega^2-stripped W2 on a pair-a vector, which stays in pair a."""
+        c, rho = self.c, self.rho
+        d = self.d_mu if a < 3 else self.d_eps
+        if a % 2:
+            p2, q2, r2 = d * c.r, rho * (d * c.rt), (1.0 / rho) * (d * c.st)
+        else:
+            p2, q2, r2 = d * c.s, rho * (d * c.st), (1.0 / rho) * (-d * c.rt)
+        return up * p2 + lo * q2, up * r2 - lo * p2
+
+    def tau0(self, b: int) -> complex | np.ndarray:
+        """Leading term of branch b."""
+        _, sgn, sector = _BRANCH_DEF[b]
+        return self.lam[sector] + sgn * self.L
+
+    def row(self, b: int) -> EigenExpansion:
+        """Branch b, with its second-order coefficient and its mixing with
+        the branches of pair 5 - a."""
+        right, left, norm = self.right, self.left, self.norm
+        a = _BRANCH_DEF[b][0]
+        up, lo = right[b]
+        lw_up, lw_lo = left[b]
+        # diagonal second-order term
+        w2u, w2l = self._w2(a, up, lo)
+        el = lw_up * w2u + lw_lo * w2l
+        y_up, y_lo = self._w1(a, up, lo)   # W1 v_b
+        tau0 = self.tau0(b)
+        mixing = []
+        for cb, (ca, _, _) in _BRANCH_DEF.items():
+            if ca != 5 - a:
+                continue
+            x_up, x_lo = self._w1(ca, *right[cb])
+            elem_bc = lw_up * x_up + lw_lo * x_lo   # (w_b . W1 v_cb)
+            lcu, lcl = left[cb]
+            elem_cb = lcu * y_up + lcl * y_lo       # (w_cb . W1 v_b)
+            if self.nonmagnetic:
+                # elem_cb carries the placeholder C_mu = 1; the 1/gap combines
+                # with it into the finite limit eps_m - eps_s.
+                el += elem_bc * elem_cb * self.cross_limit / norm[cb]
+                mixing.append((cb - 1, elem_cb * self.cross_limit / norm[cb]))
+            else:
+                den = norm[cb] * (tau0 - self.tau0(cb))
+                el += elem_bc * elem_cb / den
+                mixing.append((cb - 1, elem_cb / den))
+        return EigenExpansion(family=f"branch{b}", n=self.n, index=b - 1, tau0=tau0, tau1=0.0,
+                              tau2_coeff=el / norm[b], mixing=tuple(mixing))
 
 
 def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
@@ -188,80 +288,8 @@ def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
     scalar call raises there (if several points are degenerate in different
     ways, the order of the checks picks which).
     """
-    con = _media.contrasts(med)
-    right, left, norm, L, c = _pair_vectors(n, rho)
-    nonmag = con.nonmagnetic
-    lam_eps = con.lambda_eps
-    if nonmag:
-        c_mu, c_eps = 1.0, -med.mu_m  # C_mu enters only via its lambda_mu limit
-        d_eps = -med.mu_m * (med.eps_c + med.eps_m)
-        lam = {"eps": lam_eps}
-        branches = (5, 6, 7, 8)
-        cross_limit = med.eps_m - med.eps_c   # lim C_mu / (tau_eps - tau_mu)
-    else:
-        lam_mu = con.lambda_mu
-        if _media.any_of(abs(lam_mu - lam_eps) < 1e-8):
-            raise DegeneracyError("lambda_mu - lambda_eps below tolerance",
-                                  combination="lambda_mu - lambda_eps")
-        for s1 in (+1, -1):
-            gap = lam_mu - lam_eps + 2 * s1 * L
-            if _media.any_of(abs(gap) < 1e-8):
-                raise DegeneracyError("lambda_mu - lambda_eps -/+ 2L below tolerance",
-                                      combination=f"lambda_mu - lambda_eps {'+' if s1 > 0 else '-'} 2L")
-        c_mu, c_eps, d_mu, d_eps = _sphere.material_constants(med)
-        lam = {"mu": lam_mu, "eps": lam_eps}
-        branches = (1, 2, 3, 4, 5, 6, 7, 8)
-
-    # Coordinate pairs (e_a, e_{a+4}), a = 1..4, close under W0 and W2; W1
-    # maps pair a to pair 5 - a.  Pairs 1, 2 are the mu sector, 3, 4 the eps
-    # sector; odd pairs take the (q, r) coefficients, even pairs (p, s).
-    def w1(a: int, up, lo):
-        """The omega-stripped W1 on a pair-a vector; the result is in pair 5 - a."""
-        k = c_eps if a < 3 else c_mu
-        col_p = k * (c.q if a % 2 else c.p)
-        col_q = k * (c.qt if a % 2 else c.pt)
-        return up * col_p + lo * rho * col_q, up * (-col_q / rho) - lo * col_p
-
-    def w2(a: int, up, lo):
-        """The omega^2-stripped W2 on a pair-a vector, which stays in pair a."""
-        d = d_mu if a < 3 else d_eps
-        if a % 2:
-            p2, q2, r2 = d * c.r, rho * (d * c.rt), (1.0 / rho) * (d * c.st)
-        else:
-            p2, q2, r2 = d * c.s, rho * (d * c.st), (1.0 / rho) * (-d * c.rt)
-        return up * p2 + lo * q2, up * r2 - lo * p2
-
-    tau0 = {b: lam[sector] + sgn * L
-            for b, (_, sgn, sector) in _BRANCH_DEF.items() if b in branches}
-    out = []
-    for b in branches:
-        a = _BRANCH_DEF[b][0]
-        up, lo = right[b]
-        lw_up, lw_lo = left[b]
-        # diagonal second-order term
-        w2u, w2l = w2(a, up, lo)
-        el = lw_up * w2u + lw_lo * w2l
-        y_up, y_lo = w1(a, up, lo)   # W1 v_b
-        mixing = []
-        for cb, (ca, _, _) in _BRANCH_DEF.items():
-            if ca != 5 - a:
-                continue
-            x_up, x_lo = w1(ca, *right[cb])
-            elem_bc = lw_up * x_up + lw_lo * x_lo   # (w_b . W1 v_cb)
-            lcu, lcl = left[cb]
-            elem_cb = lcu * y_up + lcl * y_lo       # (w_cb . W1 v_b)
-            if nonmag:
-                # elem_cb carries the placeholder C_mu = 1; the 1/gap combines
-                # with it into the finite limit eps_m - eps_s.
-                el += elem_bc * elem_cb * cross_limit / norm[cb]
-                mixing.append((cb - 1, elem_cb * cross_limit / norm[cb]))
-            else:
-                den = norm[cb] * (tau0[b] - tau0[cb])
-                el += elem_bc * elem_cb / den
-                mixing.append((cb - 1, elem_cb / den))
-        out.append(EigenExpansion(family=f"branch{b}", n=n, index=b - 1, tau0=tau0[b], tau1=0.0,
-                                  tau2_coeff=el / norm[b], mixing=tuple(mixing)))
-    return out
+    rows = _ShellRows(n, rho, med)
+    return [rows.row(b) for b in rows.branches]
 
 
 #: eps branches continuing the solid-sphere eps families as rho -> 0
@@ -278,23 +306,28 @@ def shell_resonances(host: _media.MaterialPreset, geom: ShellGeometry, order: st
     """Hybridized resonances of a Drude shell: for each degree n <= n_cut,
     the bonding/antibonding pair of roots of ``lambda_eps(omega) = -/+ L``
     (quasistatic) or the minimizers including the (r_s*omega)^2 branch shift
-    (corrected).  The shell is the preset's particle material (``host.drude``,
-    ``host.mu_c``); the core and the surroundings are its host medium."""
-    if order not in ("quasistatic", "corrected"):
+    (corrected), for each order of ``sphere_modes.ORDERS[order]``; the
+    reports come order by order.  The shell is the preset's particle
+    material (``host.drude``, ``host.mu_c``); the core and the surroundings
+    are its host medium."""
+    if order not in _sphere.ORDERS:
         raise DomainError(f"unknown order {order!r}")
-    reports = []
+    branches = []
     for n in range(1, n_cut + 1):
         L = shell_np_eigenvalue(n, geom.rho)
-        for branch, sgn, fam in _EPS_BRANCHES:
+        branches += [_eps_branch(host, geom, n, L, *eps_branch) for eps_branch in _EPS_BRANCHES]
+    return _sphere.resonance_reports(branches, _sphere.ORDERS[order], omega_range, n_grid)
 
-            def tau_qs(w: float | np.ndarray) -> complex | np.ndarray:
-                return _media.contrasts(host.medium_at(w)).lambda_eps + sgn * L
 
-            def tau(w: float | np.ndarray) -> complex | np.ndarray:
-                e = next(e for e in shell_degenerate_expansion(n, geom.rho, w, host.medium_at(w))
-                         if e.index == branch - 1)
-                return e.tau0 + (geom.r_s * w) ** 2 * e.tau2_coeff
+def _eps_branch(host: _media.MaterialPreset, geom: ShellGeometry, n: int, L: float,
+                branch: int, sgn: int, fam: str):
+    """``(family, n, tau_qs, tau_corrected)`` of one eps branch."""
 
-            reports.append(_sphere.resonance_report(fam, n, order, tau_qs, tau,
-                                                    omega_range, n_grid))
-    return reports
+    def tau_qs(w: float | np.ndarray) -> complex | np.ndarray:
+        return _media.contrasts(host.medium_at(w)).lambda_eps + sgn * L
+
+    def tau(w: float | np.ndarray) -> complex | np.ndarray:
+        e = _ShellRows(n, geom.rho, host.medium_at(w)).row(branch)
+        return e.tau0 + (geom.r_s * w) ** 2 * e.tau2_coeff
+
+    return fam, n, tau_qs, tau

@@ -79,6 +79,10 @@ def _check_bessel_args(n: int, z: complex) -> complex:
     return z
 
 
+def _out_of_range(z: complex) -> DomainError:
+    return DomainError(f"spherical Bessel pair out of double-precision range at z = {z!r}")
+
+
 def _hankel1_seq(nmax: int, z: complex) -> list[complex]:
     # Upward recurrence is stable for h_n (the dominant solution).
     h0 = -1j * cmath.exp(1j * z) / z
@@ -86,6 +90,9 @@ def _hankel1_seq(nmax: int, z: complex) -> list[complex]:
     if nmax == 0:
         return seq
     h1 = -cmath.exp(1j * z) * (1.0 / z + 1j / (z * z))
+    if not cmath.isfinite(h1):
+        # z*z underflowed to a subnormal, and 1j / (z*z) overflowed
+        raise _out_of_range(z)
     seq.append(h1)
     for k in range(1, nmax):
         hk1 = (2 * k + 1) / z * seq[k] - seq[k - 1]
@@ -132,7 +139,9 @@ def bessel_jh_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     the cross identity ``j_n h_(n-1) - j_(n-1) h_n = i / z**2`` (robust at
     zeros of j_0).  Where a seed or that normalization divides by a value
     that under- or overflowed to zero (|z| below about 2e-162, where z*z
-    underflows, or h_n(z) below double range), DomainError names z.
+    underflows, or h_n(z) below double range), or where the h_1 seed
+    overflows (|z| below about 1e-154, where z*z is subnormal), DomainError
+    names z.
     """
     z = _check_bessel_args(nmax, z)
     try:
@@ -144,8 +153,7 @@ def bessel_jh_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
         r = _ratio_cf(nmax, z)
         j_prev = (1j / (z * z)) / (r * h[nmax - 1] - h[nmax])
     except ZeroDivisionError as exc:
-        raise DomainError(
-            f"spherical Bessel pair out of double-precision range at z = {z!r}") from exc
+        raise _out_of_range(z) from exc
     j[nmax] = r * j_prev
     j[nmax - 1] = j_prev
     for k in range(nmax - 1, 0, -1):

@@ -105,6 +105,12 @@ def small_r_coeffs(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return (c["jh"][0], *(sign * (c[kind][1] + c[kind][2]) for kind, sign in QRS_KINDS))
 
 
+@functools.lru_cache(maxsize=None)
+def small_r_floats(n: int) -> tuple[float, float, float, float]:
+    """``small_r_coeffs(n)`` rounded to floats, cached per n."""
+    return tuple(float(c) for c in small_r_coeffs(n))
+
+
 def material_constants(med: _media.MediumPair) -> tuple[complex, complex, complex, complex]:
     """(C_mu, C_eps, D_mu, D_eps) entering the first/second-order blocks;
     complex arrays when the medium's permittivities are arrays.
@@ -142,7 +148,7 @@ def w_blocks(n: int, omega: float, med: _media.MediumPair) -> ModeBlock:
     lam_mu, lam_eps = con.lambda_mu, con.lambda_eps
     if abs(lam_mu - lam_eps) < 1e-12:
         raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
-    p, q, r, s = (float(c) for c in small_r_coeffs(n))
+    p, q, r, s = small_r_floats(n)
     phat = _media.ball_np_eigenvalue(n)
     c_mu, c_eps, d_mu, d_eps = material_constants(med)
     w0 = np.diag([lam_mu + phat, lam_mu - phat, lam_eps + phat, lam_eps - phat]).astype(complex)
@@ -153,6 +159,67 @@ def w_blocks(n: int, omega: float, med: _media.MediumPair) -> ModeBlock:
     w1[3, 0] = omega * c_eps * q
     w2 = omega**2 * np.diag([d_mu * r, d_mu * s, d_eps * r, d_eps * s]).astype(complex)
     return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
+
+
+class _SphereRows:
+    """The guards of one degree-n expansion at one medium, all run on
+    construction, and the constants that its family rows share.
+
+    ``eigen_expansions`` builds every row; the tau of a resonance search
+    builds only the row of its family, and the quasistatic tau only its
+    ``tau0``.  ``indices`` are the families defined for the medium.
+    """
+
+    def __init__(self, n: int, med: _media.MediumPair):
+        p, q, r, s = self.coeffs = small_r_floats(n)
+        self.n = n
+        self.phat = _media.ball_np_eigenvalue(n)
+        con = _media.contrasts(med)
+        lam_eps = self.lam_eps = con.lambda_eps
+        self.nonmagnetic = con.nonmagnetic
+        if con.nonmagnetic:
+            # C_mu / (lam_eps - lam_mu -+ p) -> eps_m - eps_c as mu_c -> mu_m
+            c_eps, self.d_eps = -med.mu_m, -med.mu_m * (med.eps_c + med.eps_m)
+            self.mix_limit = med.eps_m - med.eps_c
+            self.cross = c_eps * self.mix_limit * p * q
+            self.indices = (2, 3)
+            return
+        lam_mu = self.lam_mu = con.lambda_mu
+        if _media.any_of(abs(lam_mu - lam_eps) < 1e-12):
+            raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
+        self.c_mu, self.c_eps, self.d_mu, self.d_eps = material_constants(med)
+        for gap, sign in ((lam_mu - lam_eps + p, "+"), (lam_mu - lam_eps - p, "-")):
+            if _media.any_of(abs(gap) < 1e-12):
+                raise DegeneracyError(
+                    "perturbation denominator lambda_mu - lambda_eps -+ p_n vanishes",
+                    combination=f"lambda_mu - lambda_eps {sign} p_n")
+        self.cc = self.c_eps * self.c_mu * p * q
+        self.indices = (0, 1, 2, 3)
+
+    def tau0(self, i: int) -> complex | np.ndarray:
+        """Leading term of family ``FAMILIES[i]``."""
+        if self.nonmagnetic:
+            return self.lam_eps + (+1.0 if i == 2 else -1.0) * self.phat
+        lam = self.lam_mu if i < 2 else self.lam_eps
+        return lam + self.phat if i % 2 == 0 else lam - self.phat
+
+    def row(self, i: int) -> EigenExpansion:
+        """Family ``FAMILIES[i]``: the +families take (r, q), the -families
+        (s, p), and each mixes with the family of index 3 - i."""
+        p, q, r, s = self.coeffs
+        plus = i % 2 == 0
+        tail, coef = (r, q) if plus else (s, p)
+        if self.nonmagnetic:
+            tau2 = self.cross + self.d_eps * tail
+            mix = self.mix_limit * coef
+        else:
+            lam, other, d, c = ((self.lam_mu, self.lam_eps, self.d_mu, self.c_eps) if i < 2
+                                else (self.lam_eps, self.lam_mu, self.d_eps, self.c_mu))
+            gap = lam - other + p if plus else lam - other - p
+            tau2 = self.cc / gap + d * tail
+            mix = c * coef / gap
+        return EigenExpansion(family=FAMILIES[i], n=self.n, index=i, tau0=self.tau0(i), tau1=0.0,
+                              tau2_coeff=tau2, mixing=((3 - i, mix),))
 
 
 def eigen_expansions(n: int, omega: float | np.ndarray,
@@ -169,38 +236,8 @@ def eigen_expansions(n: int, omega: float | np.ndarray,
     scalar call raises there (if several points are degenerate in different
     ways, the order of the checks picks which).
     """
-    p, q, r, s = (float(c) for c in small_r_coeffs(n))
-    phat = _media.ball_np_eigenvalue(n)
-    con = _media.contrasts(med)
-    lam_eps = con.lambda_eps
-    if con.nonmagnetic:
-        # C_mu / (lam_eps - lam_mu -+ p) -> eps_m - eps_c as mu_c -> mu_m
-        c_eps, d_eps = -med.mu_m, -med.mu_m * (med.eps_c + med.eps_m)
-        mix_limit = med.eps_m - med.eps_c
-        cross = c_eps * mix_limit * p * q
-        return [EigenExpansion(family=fam, n=n, index=i, tau0=lam_eps + sign * phat, tau1=0.0,
-                               tau2_coeff=cross + d_eps * tail,
-                               mixing=((partner, mix_limit * coef),))
-                for fam, i, sign, tail, partner, coef in (("eps+", 2, +1.0, r, 1, q),
-                                                          ("eps-", 3, -1.0, s, 0, p))]
-    lam_mu = con.lambda_mu
-    if _media.any_of(abs(lam_mu - lam_eps) < 1e-12):
-        raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
-    c_mu, c_eps, d_mu, d_eps = material_constants(med)
-    for gap, sign in ((lam_mu - lam_eps + p, "+"), (lam_mu - lam_eps - p, "-")):
-        if _media.any_of(abs(gap) < 1e-12):
-            raise DegeneracyError(
-                "perturbation denominator lambda_mu - lambda_eps -+ p_n vanishes",
-                combination=f"lambda_mu - lambda_eps {sign} p_n")
-    cc = c_eps * c_mu * p * q
-    # per family: tau0, gap, d * (r or s), partner, numerator of the mixing
-    rows = ((lam_mu + phat, lam_mu - lam_eps + p, d_mu * r, 3, c_eps * q),
-            (lam_mu - phat, lam_mu - lam_eps - p, d_mu * s, 2, c_eps * p),
-            (lam_eps + phat, lam_eps - lam_mu + p, d_eps * r, 1, c_mu * q),
-            (lam_eps - phat, lam_eps - lam_mu - p, d_eps * s, 0, c_mu * p))
-    return [EigenExpansion(family=fam, n=n, index=i, tau0=t0, tau1=0.0, tau2_coeff=cc / gap + tail,
-                           mixing=((partner, num / gap),))
-            for i, (fam, (t0, gap, tail, partner, num)) in enumerate(zip(FAMILIES, rows))]
+    rows = _SphereRows(n, med)
+    return [rows.row(i) for i in rows.indices]
 
 
 def _golden_minimize(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -244,15 +281,27 @@ def minimize_modulus(f, omega_range: tuple[float, float], n_grid: int = 200,
 
 
 def _tau_function(family: str, n: int, host: _media.MaterialPreset, r: float, order: str):
+    i = FAMILIES.index(family)
+
     def tau(w: float | np.ndarray) -> complex | np.ndarray:
-        exps = {e.family: e for e in eigen_expansions(n, w, host.medium_at(w))}
-        if family not in exps:
+        rows = _SphereRows(n, host.medium_at(w))
+        if i not in rows.indices:
             raise DomainError(f"family {family!r} undefined for nonmagnetic media")
-        e = exps[family]
         if order == "quasistatic":
-            return e.tau0
+            return rows.tau0(i)
+        e = rows.row(i)
         return e.tau0 + (r * w) ** 2 * e.tau2_coeff
     return tau
+
+
+#: the orders a resonance search runs for each value of the CLI's ``--order``
+ORDERS = {"quasistatic": ("quasistatic",), "corrected": ("corrected",),
+          "both": ("quasistatic", "corrected")}
+
+
+def _branch(family: str, n: int, host: _media.MaterialPreset, r: float):
+    return (family, n, _tau_function(family, n, host, r, "quasistatic"),
+            _tau_function(family, n, host, r, "corrected"))
 
 
 def find_resonance(family: str, n: int, host: _media.MaterialPreset, r: float, order: str,
@@ -264,30 +313,64 @@ def find_resonance(family: str, n: int, host: _media.MaterialPreset, r: float, o
     ``order="quasistatic"`` minimizes the size-independent leading term;
     ``order="corrected"`` includes the (r*omega)^2 shift and reports the
     frequency displacement relative to the quasistatic root (see
-    ``resonance_report``).
+    ``resonance_reports``).
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     if order not in ("quasistatic", "corrected"):
         raise DomainError(f"unknown order {order!r}")
-    return resonance_report(
-        family, n, order, _tau_function(family, n, host, r, "quasistatic"),
-        _tau_function(family, n, host, r, "corrected"), omega_range, n_grid)
+    return resonance_reports([_branch(family, n, host, r)], (order,), omega_range, n_grid)[0]
 
 
-def resonance_report(family: str, n: int, order: str, tau_qs, tau_corrected,
-                     omega_range: tuple[float, float], n_grid: int) -> ResonanceReport:
-    """Minimize |tau| and report the root, linewidth and quasistatic shift.
+def sphere_resonances(host: _media.MaterialPreset, r: float, order: str, n_cut: int = 2,
+                      omega_range: tuple[float, float] = (0.05, 0.99),
+                      n_grid: int = 200) -> list[ResonanceReport]:
+    """Resonances of a sphere of radius r made of the preset's particle
+    material: every family (the eps families alone in nonmagnetic media) at
+    every degree n <= n_cut, for each order of ``ORDERS[order]``.
 
-    ``tau_qs`` and ``tau_corrected`` are the branch functions of the two
-    orders; the corrected one is used only for ``order="corrected"``.  The
-    report is not found when either minimizer lies on the grid edge.  The
-    linewidth estimate is the Lorentzian value ``2 |Im tau| / |d Re tau / d
-    omega|`` at the minimizer.
+    The reports come order by order, then family by family, then by n.
     """
-    om_qs = minimize_modulus(tau_qs, omega_range, n_grid)
-    tau = tau_qs if order == "quasistatic" else tau_corrected
-    om_star = om_qs if order == "quasistatic" else minimize_modulus(tau, omega_range, n_grid)
+    if order not in ORDERS:
+        raise DomainError(f"unknown order {order!r}")
+    families = ("eps+", "eps-") if host.medium_at(1.0).nonmagnetic else FAMILIES
+    return resonance_reports([_branch(fam, n, host, r) for fam in families
+                              for n in range(1, n_cut + 1)],
+                             ORDERS[order], omega_range, n_grid)
+
+
+def resonance_reports(branches, orders: tuple[str, ...], omega_range: tuple[float, float],
+                      n_grid: int) -> list[ResonanceReport]:
+    """Minimize |tau| of each branch at each order, and report the root, the
+    linewidth and the shift from the quasistatic root.
+
+    ``branches`` holds ``(family, n, tau_qs, tau_corrected)`` tuples, the
+    branch functions of the two orders.  The reports come order by order, and
+    in the order of ``branches`` within one order.  Each branch's quasistatic
+    root is searched once, when an order first needs it, and serves both
+    orders, so a corrected shift is exactly its root minus the quasistatic
+    report's.  A report is not found when either minimizer lies on the grid
+    edge.  The linewidth estimate is the Lorentzian value ``2 |Im tau| /
+    |d Re tau / d omega|`` at the minimizer.
+    """
+    qs_roots: dict[int, float | None] = {}
+    reports = []
+    for order in orders:
+        for k, (family, n, tau_qs, tau_corrected) in enumerate(branches):
+            if k not in qs_roots:
+                qs_roots[k] = minimize_modulus(tau_qs, omega_range, n_grid)
+            om_qs = qs_roots[k]
+            if order == "quasistatic":
+                tau, om_star = tau_qs, om_qs
+            else:
+                tau = tau_corrected
+                om_star = minimize_modulus(tau, omega_range, n_grid)
+            reports.append(_report(family, n, order, tau, om_star, om_qs))
+    return reports
+
+
+def _report(family: str, n: int, order: str, tau, om_star: float | None,
+            om_qs: float | None) -> ResonanceReport:
     if om_star is None or om_qs is None:
         return ResonanceReport(omega_star=None, order=order, family=family, n=n,
                                tau_at_min=None, shift_from_quasistatic=math.nan,

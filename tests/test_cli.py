@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import warnings
 
 import pytest
 
 from plasmonics import cli
+from plasmonics.errors import DomainError
 
 
 def run(args, capsys=None):
@@ -41,6 +44,28 @@ class TestResonanceCommand:
         fams = {(r["family"], r["order"]) for r in payload["reports"]}
         assert ("bonding", "quasistatic") in fams
         assert ("antibonding", "corrected") in fams
+
+
+    @pytest.mark.parametrize("ini", [
+        "[geometry]\nradius = 0.5196152422706632\n[drude]\ngamma = 0.05\n"
+        "[grid]\nomega_min = 0.4\nomega_max = 0.75\n",
+        "[geometry]\nradius = 0.4\n[drude]\ngamma = 0.02\nmu_c_re = 1.5\n",
+        "[run]\ngeometry = shell\n[geometry]\nradius = 0.3\nrho = 0.5\n[drude]\ngamma = 0.05\n",
+    ], ids=["sphere", "magnetic-sphere", "shell"])
+    def test_single_orders_match_both(self, tmp_path, ini):
+        # --order both shares each quasistatic search between its two orders;
+        # one order alone writes the same reports, byte for byte
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        reports = {}
+        for order in ("quasistatic", "corrected", "both"):
+            out = tmp_path / order
+            assert run(["resonance", "--config", str(cfg), "--order", order,
+                        "--out", str(out)]) == 0
+            payload = json.loads((out / "resonance.json").read_text())
+            reports[order] = [json.dumps(r, indent=2, sort_keys=True) for r in payload["reports"]]
+        assert len(reports["quasistatic"]) == len(reports["corrected"]) >= 4
+        assert reports["both"] == reports["quasistatic"] + reports["corrected"]
 
 
 class TestSpectrumCommand:
@@ -228,6 +253,39 @@ class TestExitCodes:
         for art in out.iterdir():
             text = art.read_text()
             assert "NaN" not in text and "Infinity" not in text
+
+    @pytest.mark.parametrize("command, ini, message", [
+        ("resonance", "[drude]\nomega_p = 1e300\n", "omega_p**2 overflows"),
+        ("modes", "[drude]\nomega_p = 1e154\n", "Drude permittivity overflows"),
+        ("mg", "[drude]\neps_inf = 1e300\n[grid]\ncount = 5\n", "mg.json: "),
+        ("spectrum", "[geometry]\nradius = 1e-158\n[grid]\ncount = 5\n",
+         "out of double-precision range at z"),
+    ], ids=["omega_p-1e300", "modes-omega_p-1e154", "mg-eps_inf-1e300",
+            "spectrum-radius-1e-158"])
+    def test_non_finite_refused_at_source(self, tmp_path, capsys, command, ini, message):
+        # an unsquarable omega_p, a Drude permittivity beyond double range, an
+        # infinite remainder_scale and an overflowed h_1 seed: each is refused
+        # where it arises, with no warning and no artifact holding nan or inf
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert error["type"] == "DomainError"
+        assert message in error["message"]
+        for art in out.glob("*"):
+            assert not re.search(r"\b(nan|inf|infinity)\b", art.read_text(), re.IGNORECASE)
+
+    def test_non_finite_json_refused(self, tmp_path):
+        with pytest.raises(DomainError, match="x.json"):
+            cli._write_json(tmp_path / "x.json", {"v": math.inf})
+        assert not (tmp_path / "x.json").exists()
 
     def test_bad_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

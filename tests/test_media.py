@@ -50,6 +50,18 @@ class TestDrude:
         with pytest.raises(DomainError):
             media.DrudeParams(**{field: bad})
 
+    @pytest.mark.parametrize("omega_p", [1e155, 1e300])
+    def test_unsquarable_omega_p_refused(self, omega_p):
+        with pytest.raises(DomainError, match="omega_p"):
+            media.DrudeParams(1.0, omega_p, 0.0)
+
+    @pytest.mark.parametrize("omega", [1e-160, np.float64(1e-160), np.array([0.3, 1e-160])])
+    def test_overflowing_permittivity_refused(self, omega):
+        p = media.DrudeParams(1.0, 1.0, 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="Drude permittivity"):
+            media.drude_permittivity(p, omega)
+
     def test_nan_refused(self):
         p = media.DrudeParams(1.0, 1.0, 0.02)
         with pytest.raises(DomainError):

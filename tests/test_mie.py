@@ -270,6 +270,14 @@ class TestExports:
         assert lines[1] == "0.40000000000000002,0"
         assert "\r" not in text
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_csv_refuses_non_finite(self, tmp_path, bad):
+        spec = mie.Spectrum(np.array([0.4, 0.5, 0.6]), np.array([0.0, bad, 0.5]), [])
+        path = tmp_path / "s.csv"
+        with pytest.raises(DomainError, match="s.csv"):
+            mie.write_spectrum_csv(spec, path)
+        assert not path.exists()
+
     def test_peaks_payload(self):
         spec = mie.Spectrum(np.array([0.4, 0.5, 0.6]), np.array([0.0, 1.0, 0.5]),
                             [mie.Peak(0.5, 1.0, None)])

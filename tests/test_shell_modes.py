@@ -297,3 +297,57 @@ class TestShellResonances:
         host = media.MaterialPreset(drude)
         with pytest.raises(DomainError):
             sh.shell_resonances(host, sh.ShellGeometry(0.1, 0.5), "zeroth")
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+class TestBranchRows:
+    """The corrected tau of a shell search builds one branch's row; it must
+    equal that branch's entry of the full expansion bit for bit."""
+
+    @pytest.mark.parametrize("omega", [0.6, np.float64(0.6), np.linspace(0.3, 0.95, 53)],
+                             ids=["float", "float64", "array"])
+    @pytest.mark.parametrize("gamma, mu_s", [(0.0, 1.0), (0.0, 1.5), (0.05, 1.0),
+                                             (0.05, complex(1.3, 0.1))],
+                             ids=["nonmagnetic", "magnetic", "lossy", "lossy-magnetic"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tau_matches_expansion(self, gamma, mu_s, omega, n):
+        host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, gamma), mu_c=mu_s)
+        geom = sh.ShellGeometry(0.3, 0.6)
+        L = sh.shell_np_eigenvalue(n, geom.rho)
+        exps = sh.shell_degenerate_expansion(n, geom.rho, omega, host.medium_at(omega))
+        for branch, sgn, fam in sh._EPS_BRANCHES:
+            e = exps[[x.index for x in exps].index(branch - 1)]
+            got_fam, got_n, tau_qs, tau = sh._eps_branch(host, geom, n, L, branch, sgn, fam)
+            assert (got_fam, got_n) == (fam, n)
+            assert _same_bits(tau_qs(omega), e.tau0)
+            assert _same_bits(tau(omega), e.tau0 + (geom.r_s * omega) ** 2 * e.tau2_coeff)
+
+    @pytest.mark.parametrize("omega", ["float", "array"])
+    @pytest.mark.parametrize("offset", ["+2L", "-2L", "0"])
+    def test_degeneracy_raises_as_expansion(self, offset, omega):
+        drude = media.DrudeParams(1.0, 1.0, 0.0)
+        lam_eps = media.contrasts(media.MaterialPreset(drude).medium_at(0.6)).lambda_eps
+        L = sh.shell_np_eigenvalue(1, 0.5)
+        target = lam_eps + {"+2L": -2 * L, "-2L": 2 * L, "0": 0.0}[offset]
+        host = media.MaterialPreset(drude, mu_c=(2 * target - 1) / (2 * target + 1))
+        w = 0.6 if omega == "float" else np.array([0.4, 0.6, 0.8])
+        with pytest.raises(DegeneracyError) as want:
+            sh.shell_degenerate_expansion(1, 0.5, w, host.medium_at(w))
+        assert want.value.combination == ("lambda_mu - lambda_eps" if offset == "0"
+                                          else f"lambda_mu - lambda_eps {offset[0]} 2L")
+        geom = sh.ShellGeometry(0.3, 0.5)
+        for branch, sgn, fam in sh._EPS_BRANCHES:
+            _, _, _, tau = sh._eps_branch(host, geom, 1, L, branch, sgn, fam)
+            with pytest.raises(DegeneracyError) as got:
+                tau(w)
+            assert str(got.value) == str(want.value)
+            assert got.value.combination == want.value.combination
+
+    def test_geometry_cached_read_only(self):
+        right, left, norm, L, c = sh._pair_vectors(2, 0.6)
+        assert sh._pair_vectors(2, 0.6)[0] is right
+        with pytest.raises(TypeError):
+            right[1] = (0.0, 0.0)

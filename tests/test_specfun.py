@@ -62,6 +62,12 @@ class TestBesselPair:
         with pytest.raises(DomainError):
             specfun.bessel_pair(201, 1.0)
 
+    @pytest.mark.parametrize("z", [1e-155, 3e-158, 1e-160j, complex(2e-161, 2e-161)])
+    def test_subnormal_square_refused(self, z):
+        # z*z is subnormal, so the h_1 seed's 1j / (z*z) overflows
+        with pytest.raises(DomainError, match="out of double-precision range"):
+            specfun.bessel_jh_seq(3, z)
+
     def test_graded_overflow(self):
         with pytest.raises(GradedOverflowError):
             specfun.bessel_pair(200, 1e-3)

@@ -375,3 +375,77 @@ class TestFindResonance:
         assert len(spec.peaks) == 1
         assert abs(spec.peaks[0].omega - om_plus) < 0.01
         assert abs(spec.peaks[0].omega - om_minus) > 0.2
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+#: (gamma, mu_c) of the four kinds of particle a resonance search meets
+BRANCH_MEDIA = {"nonmagnetic": (0.0, 1.0), "magnetic": (0.0, 1.5), "lossy": (0.05, 1.0),
+                "lossy-magnetic": (0.05, complex(1.5, 0.1))}
+BRANCH_OMEGAS = {"float": 0.6, "float64": np.float64(0.6), "array": np.linspace(0.3, 0.95, 53)}
+
+
+class TestBranchRows:
+    """The tau of a resonance search builds one family's row; it must equal
+    that family's entry of the full expansion bit for bit."""
+
+    @pytest.mark.parametrize("omega", list(BRANCH_OMEGAS))
+    @pytest.mark.parametrize("medium", list(BRANCH_MEDIA))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tau_matches_expansion(self, medium, omega, n):
+        gamma, mu_c = BRANCH_MEDIA[medium]
+        host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, gamma), mu_c=mu_c)
+        w, r = BRANCH_OMEGAS[omega], 0.4
+        exps = sm.eigen_expansions(n, w, host.medium_at(w))
+        assert len(exps) == (2 if mu_c == 1.0 else 4)
+        for e in exps:
+            qs = sm._tau_function(e.family, n, host, r, "quasistatic")(w)
+            corrected = sm._tau_function(e.family, n, host, r, "corrected")(w)
+            assert _same_bits(qs, e.tau0), e.family
+            assert _same_bits(corrected, e.tau0 + (r * w) ** 2 * e.tau2_coeff), e.family
+
+    @pytest.mark.parametrize("omega", ["float", "array"])
+    @pytest.mark.parametrize("offset", ["+p", "-p", "0"])
+    def test_degeneracy_raises_as_expansion(self, offset, omega):
+        # lambda_mu placed where a guard of the expansion trips at omega = 0.6:
+        # every tau, of either order, raises what the expansion raises
+        drude = media.DrudeParams(1.0, 1.0, 0.0)
+        lam_eps = media.contrasts(media.MaterialPreset(drude).medium_at(0.6)).lambda_eps
+        p = float(sm.small_r_coeffs(1)[0])
+        target = lam_eps + {"+p": -p, "-p": p, "0": 0.0}[offset]
+        host = media.MaterialPreset(drude, mu_c=(2 * target - 1) / (2 * target + 1))
+        w = 0.6 if omega == "float" else np.array([0.4, 0.6, 0.8])
+        with pytest.raises(DegeneracyError) as want:
+            sm.eigen_expansions(1, w, host.medium_at(w))
+        assert want.value.combination == (None if offset == "0"
+                                          else f"lambda_mu - lambda_eps {offset[0]} p_n")
+        for fam in sm.FAMILIES:
+            for order in ("quasistatic", "corrected"):
+                with pytest.raises(DegeneracyError) as got:
+                    sm._tau_function(fam, 1, host, 0.4, order)(w)
+                assert str(got.value) == str(want.value)
+                assert got.value.combination == want.value.combination
+
+
+class TestResonanceOrders:
+    def test_both_orders_share_the_quasistatic_root(self):
+        host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.05), mu_c=1.5)
+        reports = sm.sphere_resonances(host, 0.4, "both", omega_range=(0.3, 0.95))
+        assert len(reports) == 16
+        qs, corrected = reports[:8], reports[8:]
+        assert {r.order for r in qs} == {"quasistatic"}
+        assert {r.order for r in corrected} == {"corrected"}
+        for q, c in zip(qs, corrected):
+            assert (q.family, q.n) == (c.family, c.n)
+            if c.found:
+                assert c.shift_from_quasistatic == c.omega_star - q.omega_star
+            single = sm.find_resonance(c.family, c.n, host, 0.4, "corrected",
+                                       omega_range=(0.3, 0.95))
+            assert single == c
+
+    def test_unknown_order(self):
+        host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.0))
+        with pytest.raises(DomainError):
+            sm.sphere_resonances(host, 0.1, "zeroth")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +47,20 @@ GENERAL_ANISO = {
 }
 MG_HOST = {"host": {"eps_m": 2.25}, "drude": {"gamma": 0.05},
            "mg": {"f": 0.1, "validity_constant": 0.3}}
+MAGNETIC_SPHERE = {
+    "geometry": {"radius": 0.4},
+    "drude": {"gamma": 0.02, "mu_c_re": 1.5},
+    "grid": {"omega_min": 0.30, "omega_max": 0.95},
+}
+LOSSY_MAGNETIC_SPHERE = {
+    "geometry": {"radius": 0.4},
+    "drude": {"gamma": 0.02, "mu_c_re": 1.5, "mu_c_im": 0.1},
+    "grid": {"omega_min": 0.30, "omega_max": 0.95},
+}
+SHELL = {"run": {"geometry": "shell"}, "geometry": {"radius": 0.3, "rho": 0.5},
+         "drude": {"gamma": 0.05}}
+C10_SPHERE = {"geometry": {"radius": 0.3 * math.sqrt(3.0)}, "drude": {"gamma": 0.05},
+              "grid": {"omega_min": 0.40, "omega_max": 0.75}}
 
 #: (name, command, config, extra argv): magnetic shells exercise shell branches
 #: 1-4 and the gap cross terms, which no workload reaches; the flag-shell jobs
@@ -55,8 +70,11 @@ MG_HOST = {"host": {"eps_m": 2.25}, "drude": {"gamma": 0.05},
 #: leave r13 and r23 at zero, and splits the dipole triplet into three
 #: resonances; ``mg-host`` is the only job with a non-vacuum host and a
 #: non-default validity constant, so it pins ``valid``, ``margin`` and
-#: ``remainder_scale`` away from the defaults.  None of them exits nonzero,
-#: and none is jittered.
+#: ``remainder_scale`` away from the defaults.  The workloads run every
+#: resonance search under ``--order both``; the three single-order jobs run
+#: one order alone, and ``lossy-magnetic-sphere`` gives the four sphere
+#: families a complex permeability.  None of them exits nonzero, and none is
+#: jittered.
 EXTRA = (
     ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
     ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
@@ -68,6 +86,10 @@ EXTRA = (
     ("modes-lossy-sphere", "modes", LOSSY_SPHERE, ()),
     ("aniso-general", "aniso", GENERAL_ANISO, ()),
     ("mg-host", "mg", MG_HOST, ()),
+    ("corrected-magnetic-sphere", "resonance", MAGNETIC_SPHERE, ("--order", "corrected")),
+    ("corrected-shell", "resonance", SHELL, ("--order", "corrected")),
+    ("quasistatic-c10-sphere", "resonance", C10_SPHERE, ()),
+    ("lossy-magnetic-sphere", "resonance", LOSSY_MAGNETIC_SPHERE, BOTH),
 )
 
 
