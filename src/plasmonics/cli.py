@@ -32,6 +32,7 @@ import configparser
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,7 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Warnings raised during the command are held back: on exit 2 or 3 they
+    are dropped, so that stderr holds exactly the JSON error; otherwise they
+    are shown as raised once the command ends.
+    """
     args = build_parser().parse_args(argv)
+    rc = None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            rc = _run(args)
+    finally:
+        if rc not in (2, 3):
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return rc
+
+
+def _run(args) -> int:
     try:
         cfg = RunConfig.load(args.config, args.geometry)
         out = Path(args.out)

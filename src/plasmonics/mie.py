@@ -17,6 +17,7 @@ the resulting Q^ext equals the classical Mie extinction to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,11 +60,13 @@ class PlaneWave:
 
 @dataclass
 class ScatterCoeffs:
-    """Per-degree modal coefficients (index 1..n_max) plus singularity flags."""
+    """Per-degree modal coefficients (index 1..n_max) plus singularity flags,
+    and the host wavenumber ``k_m`` they were computed at."""
 
     n_max: int
     s_te: np.ndarray  # s_te[n] valid for n = 1..n_max; s_te[0] unused
     s_tm: np.ndarray
+    k_m: complex
     flagged: list[int] = field(default_factory=list)
 
 
@@ -100,6 +103,11 @@ def scattering_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float
 
     A vanishing denominator (within 1e-14 of the scale of its terms) marks the
     degree in ``flagged`` instead of emitting NaN.
+
+    The degree loop runs on Python complex, which rounds products, sums and
+    ``abs`` exactly like numpy's complex128 scalars but divides differently;
+    so the quotients are taken in one numpy array division, which rounds
+    like numpy's scalar one.
     """
     if omega <= 0:
         raise DomainError("scattering requires omega > 0")
@@ -107,25 +115,32 @@ def scattering_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float
     r = geom.radius
     if n_max is None:
         n_max = truncation_order(abs(k_m) * r)
-    jm, hm = specfun.bessel_jh_seq(n_max, k_m * r)
-    Jm, Hm = specfun.riccati_seq(n_max, k_m * r)
-    jc, _ = specfun.bessel_jh_seq(n_max, k_c * r)
-    Jc, _ = specfun.riccati_seq(n_max, k_c * r)
-    s_te = np.zeros(n_max + 1, dtype=complex)
-    s_tm = np.zeros(n_max + 1, dtype=complex)
+    jm, hm = (seq.tolist() for seq in specfun.bessel_jh_seq(n_max, k_m * r))
+    Jm, Hm = (seq.tolist() for seq in specfun.riccati_seq(n_max, k_m * r))
+    jc = specfun.bessel_jh_seq(n_max, k_c * r)[0].tolist()
+    Jc = specfun.riccati_seq(n_max, k_c * r)[0].tolist()
     flagged: list[int] = []
-    for n in range(1, n_max + 1):
-        for arr, (cc, cm) in ((s_te, (med.mu_c, med.mu_m)), (s_tm, (med.eps_c, med.eps_m))):
-            num = cc * jc[n] * Jm[n] - cm * jm[n] * Jc[n]
+    nums: list[complex] = []
+    dens: list[complex] = []
+    for cc, cm in ((complex(med.mu_c), complex(med.mu_m)),
+                   (complex(med.eps_c), complex(med.eps_m))):
+        nums.append(0j)  # the unused index 0 holds 0 / 1
+        dens.append(1 + 0j)
+        for n in range(1, n_max + 1):
+            ccj = cc * jc[n]
+            num = ccj * Jm[n] - cm * jm[n] * Jc[n]
             t1 = cm * Jc[n] * hm[n]
-            t2 = cc * jc[n] * Hm[n]
+            t2 = ccj * Hm[n]
             den = t1 - t2
             scale = max(abs(t1), abs(t2), 1e-300)
             if abs(den) <= 1e-14 * scale:
                 flagged.append(n)
                 den = scale * 1e-14  # report a finite, flagged value
-            arr[n] = num / den
-    return ScatterCoeffs(n_max=n_max, s_te=s_te, s_tm=s_tm, flagged=sorted(set(flagged)))
+            nums.append(num)
+            dens.append(den)
+    s_te, s_tm = (np.array(nums) / np.array(dens, dtype=complex)).reshape(2, n_max + 1)
+    return ScatterCoeffs(n_max=n_max, s_te=s_te, s_tm=s_tm, k_m=k_m,
+                         flagged=sorted(set(flagged)))
 
 
 def _dipole_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float) -> ScatterCoeffs:
@@ -136,19 +151,25 @@ def _dipole_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float) -
     s_tm = np.zeros(2, dtype=complex)
     s_te[1] = 1j * (2.0 / 3.0) * (med.mu_c - med.mu_m) * x3 / (2.0 * med.mu_m + med.mu_c)
     s_tm[1] = 1j * (2.0 / 3.0) * (med.eps_c - med.eps_m) * x3 / (2.0 * med.eps_m + med.eps_c)
-    return ScatterCoeffs(n_max=1, s_te=s_te, s_tm=s_tm)
+    return ScatterCoeffs(n_max=1, s_te=s_te, s_tm=s_tm, k_m=k_m)
 
 
-def _amplitude_from_coeffs(coeffs: ScatterCoeffs, med: _media.MediumPair, omega: float,
-                           pw: PlaneWave, xhat: Direction) -> np.ndarray:
-    k_m, _ = _media.wavenumbers(med, omega)
+@functools.lru_cache(maxsize=None)
+def _degrees(n_max: int) -> np.ndarray:
+    """Degree n of each packed harmonics row (n = 1..n_max, m = -n..n),
+    read-only because every caller shares it."""
+    n = np.arange(1, n_max + 1)
+    deg = np.repeat(n, 2 * n + 1)
+    deg.flags.writeable = False
+    return deg
+
+
+def _amplitude_from_coeffs(coeffs: ScatterCoeffs, pw: PlaneWave, xhat: Direction) -> np.ndarray:
     p = pw.p_vector()
     _, Ud, Vd = specfun.harmonics_all(coeffs.n_max, pw.direction)
     _, Ux, Vx = specfun.harmonics_all(coeffs.n_max, xhat)
-    pref = (4.0 * math.pi) ** 2 / k_m
-    # packed rows run over n = 1..n_max and m = -n..n; deg[row] is n
-    n = np.arange(1, coeffs.n_max + 1)
-    deg = np.repeat(n, 2 * n + 1)
+    pref = (4.0 * math.pi) ** 2 / coeffs.k_m
+    deg = _degrees(coeffs.n_max)
     wte = coeffs.s_te[deg] * (np.conj(Vd) @ p)
     wtm = coeffs.s_tm[deg] * (np.conj(Ud) @ p)
     return (pref * 1j * (wte[:, None] * Vx + wtm[:, None] * Ux)).sum(axis=0)
@@ -158,8 +179,7 @@ def plane_wave_amplitude(geom: SphereGeometry, med: _media.MediumPair, omega: fl
                          pw: PlaneWave, xhat: Direction, n_max: int | None = None) -> np.ndarray:
     """Scattering amplitude A_inf(xhat), normalized so that the scattered
     far field is E^s ~ -exp(i k_m |x|) / (4 pi |x|) * A_inf(xhat)."""
-    coeffs = scattering_coeffs(geom, med, omega, n_max)
-    return _amplitude_from_coeffs(coeffs, med, omega, pw, xhat)
+    return _amplitude_from_coeffs(scattering_coeffs(geom, med, omega, n_max), pw, xhat)
 
 
 def extinction(geom: SphereGeometry, med: _media.MediumPair, omega: float, pw: PlaneWave,
@@ -176,11 +196,10 @@ def extinction(geom: SphereGeometry, med: _media.MediumPair, omega: float, pw: P
         coeffs = _dipole_coeffs(geom, med, omega)
     else:
         raise DomainError(f"unknown extinction mode {mode!r}")
-    k_m, _ = _media.wavenumbers(med, omega)
     p = pw.p_vector()
-    A = _amplitude_from_coeffs(coeffs, med, omega, pw, pw.direction)
+    A = _amplitude_from_coeffs(coeffs, pw, pw.direction)
     forward = complex(np.dot(p, A)) / float(np.dot(p, p))
-    return -forward.imag / k_m.real + 0.0  # +0.0 normalizes -0.0
+    return -forward.imag / coeffs.k_m.real + 0.0  # +0.0 normalizes -0.0
 
 
 def _refine_peak(om: np.ndarray, q: np.ndarray, i: int) -> tuple[float, float]:

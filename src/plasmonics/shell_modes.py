@@ -158,11 +158,17 @@ def _pair_vectors(n: int, rho: float):
     normalizers, in the pair coordinates; with L and ``shell_coeffs``.
 
     These depend on (n, rho) alone, so they are computed once per (n, rho)
-    and returned read-only: mappings from branch to value.
+    and returned read-only: mappings from branch to value.  Where L rounds to
+    the ball eigenvalue (rho below about 3.5e-6 at n = 1, 4.3e-4 at n = 2),
+    the normalizers 2L(L - phat) vanish, and DomainError names rho and n.
     """
     c = shell_coeffs(n, rho)
     phat = _media.ball_np_eigenvalue(n)
     L = shell_np_eigenvalue(n, rho)
+    if L == phat:
+        raise DomainError(f"shell rho = {rho!r} is too small at degree n = {n}: the shell "
+                          "eigenvalue rounds to the ball's, and the biorthogonal "
+                          "normalizer 2L(L - 1/(2(2n+1))) vanishes")
     right = {}
     left = {}
     norm = {}

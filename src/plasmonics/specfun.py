@@ -171,18 +171,17 @@ def riccati_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of ``J_n = j_n + z j_n'`` and ``H_n = h_n + z h_n'``, n <= nmax.
 
     Uses ``J_n = z j_(n-1) - n j_n`` (and likewise for H), which is exact and
-    avoids differencing.
+    avoids differencing.  The loop runs on Python complex, whose products
+    and differences round exactly like numpy's complex128 scalars.
     """
     z = _check_bessel_args(nmax, z)
-    j, h = bessel_jh_seq(nmax, z)
-    jr = np.empty(nmax + 1, dtype=complex)
-    hr = np.empty(nmax + 1, dtype=complex)
-    jr[0] = cmath.cos(z)
-    hr[0] = cmath.exp(1j * z)
+    j, h = (seq.tolist() for seq in bessel_jh_seq(nmax, z))
+    jr = [cmath.cos(z)]
+    hr = [cmath.exp(1j * z)]
     for n in range(1, nmax + 1):
-        jr[n] = z * j[n - 1] - n * j[n]
-        hr[n] = z * h[n - 1] - n * h[n]
-    return jr, hr
+        jr.append(z * j[n - 1] - n * j[n])
+        hr.append(z * h[n - 1] - n * h[n])
+    return np.array(jr), np.array(hr)
 
 
 def riccati_pair(n: int, z: complex) -> tuple[complex, complex]:

@@ -20,11 +20,17 @@ no command needs but the expansions are checked against:
   polarization tensors (``forward_amplitude``, ``extinction_quasistatic``),
   the reference of ``mie.extinction(mode="dipole")``.
 
+The numpy-scalar degree loops (``riccati_seq_numpy``,
+``scattering_coeffs_numpy``) are the references that ``specfun.riccati_seq``
+and ``mie.scattering_coeffs`` must match bit for bit: the production loops
+run on Python complex and take their quotients in one array division.
+
 The per-point W_R quadrature below is the reference that
 ``effective._w_matrix``'s blocked geometry must match bit for bit, and it
 evaluates the same singularity-subtracted rule one outer point at a time.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from plasmonics import media, shell_modes, specfun
+from plasmonics import media, mie, shell_modes, specfun
 from plasmonics.errors import DegenerateContrastError, DomainError, RegimeWarning
 
 
@@ -303,3 +309,47 @@ def extinction_quasistatic(d, p, omega, med, m_eps, m_mu):
     fwd = complex(np.dot(p, forward_amplitude(d, p, omega, med, m_eps, m_mu)))
     fwd /= float(np.dot(p, p))
     return -fwd.imag / k_m.real
+
+
+def riccati_seq_numpy(nmax, z):
+    """``specfun.riccati_seq`` with its degree loop on numpy complex128
+    elements."""
+    z = complex(z)
+    j, h = specfun.bessel_jh_seq(nmax, z)
+    jr = np.empty(nmax + 1, dtype=complex)
+    hr = np.empty(nmax + 1, dtype=complex)
+    jr[0] = cmath.cos(z)
+    hr[0] = cmath.exp(1j * z)
+    for n in range(1, nmax + 1):
+        jr[n] = z * j[n - 1] - n * j[n]
+        hr[n] = z * h[n - 1] - n * h[n]
+    return jr, hr
+
+
+def scattering_coeffs_numpy(geom, med, omega, n_max=None):
+    """``mie.scattering_coeffs`` with its degree loop on numpy complex128
+    elements and one scalar division per coefficient; returns
+    (n_max, s_te, s_tm, flagged)."""
+    k_m, k_c = media.wavenumbers(med, omega)
+    r = geom.radius
+    if n_max is None:
+        n_max = mie.truncation_order(abs(k_m) * r)
+    jm, hm = specfun.bessel_jh_seq(n_max, k_m * r)
+    Jm, Hm = riccati_seq_numpy(n_max, k_m * r)
+    jc, _ = specfun.bessel_jh_seq(n_max, k_c * r)
+    Jc, _ = riccati_seq_numpy(n_max, k_c * r)
+    s_te = np.zeros(n_max + 1, dtype=complex)
+    s_tm = np.zeros(n_max + 1, dtype=complex)
+    flagged = []
+    for n in range(1, n_max + 1):
+        for arr, (cc, cm) in ((s_te, (med.mu_c, med.mu_m)), (s_tm, (med.eps_c, med.eps_m))):
+            num = cc * jc[n] * Jm[n] - cm * jm[n] * Jc[n]
+            t1 = cm * Jc[n] * hm[n]
+            t2 = cc * jc[n] * Hm[n]
+            den = t1 - t2
+            scale = max(abs(t1), abs(t2), 1e-300)
+            if abs(den) <= 1e-14 * scale:
+                flagged.append(n)
+                den = scale * 1e-14
+            arr[n] = num / den
+    return n_max, s_te, s_tm, sorted(set(flagged))

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,52 @@ class TestExitCodes:
         assert message in error["message"]
         for art in out.glob("*"):
             assert not re.search(r"\b(nan|inf|infinity)\b", art.read_text(), re.IGNORECASE)
+
+    @pytest.mark.parametrize("args", [["modes"], ["resonance", "--order", "corrected"]],
+                             ids=["modes", "resonance-corrected"])
+    def test_tiny_shell_rho_refused(self, tmp_path, capsys, args):
+        # at rho = 1e-10 the shell eigenvalue rounds to the ball's and the
+        # biorthogonal normalizers vanish: a typed refusal naming rho and n
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\ngeometry = shell\n[geometry]\nradius = 0.3\nrho = 1e-10\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run([*args, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert caught == []
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "DomainError"
+        assert "rho = 1e-10" in error["message"] and "n = 1" in error["message"]
+
+    def test_stderr_is_one_json_document(self, tmp_path):
+        # numpy warns on the way to this refusal; pytest would capture the
+        # warnings, so the command runs as a subprocess
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[grid]\nomega_min = 1e-158\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = ["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "plasmonics.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"]["type"] == "DomainError"
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("rc", [0, 1, 2, 3])
+    def test_warnings_shown_unless_refused(self, tmp_path, monkeypatch, rc):
+        # a warning raised during a command is shown as raised unless the
+        # command ends in exit 2 or 3
+        def command(cfg, out):
+            warnings.warn("held back", RuntimeWarning)
+            return rc
+
+        monkeypatch.setattr(cli, "cmd_selftest", command)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["selftest", "--out", str(tmp_path)]) == rc
+        shown = [(w.category, str(w.message), w.filename) for w in caught]
+        assert shown == ([] if rc in (2, 3) else [(RuntimeWarning, "held back", __file__)])
 
     def test_non_finite_json_refused(self, tmp_path):
         with pytest.raises(DomainError, match="x.json"):

@@ -8,7 +8,8 @@ from plasmonics.errors import DomainError
 from plasmonics.quasistatic import PolarizationTensor, ball_polarization_tensor
 from plasmonics.specfun import Direction
 
-from _oracles import classical_mie_coeffs, classical_mie_extinction, forward_amplitude
+from _oracles import (classical_mie_coeffs, classical_mie_extinction, forward_amplitude,
+                      riccati_seq_numpy, scattering_coeffs_numpy)
 
 
 def _pw(d=None, p=None):
@@ -71,6 +72,82 @@ class TestScatteringCoeffs:
         c = mie.scattering_coeffs(mie.SphereGeometry(1.0), med, 1.0)
         assert abs(c.s_te[c.n_max]) < 1e-14
         assert abs(c.s_tm[c.n_max]) < 1e-14
+
+
+#: (eps_m, mu_m, mu_c) of the host and the particle's permeability
+_MEDIA = {
+    "nonmagnetic": (1.0, 1.0, 1.0),
+    "magnetic": (2.25, 1.0, 1.5 + 0j),
+    "lossy-magnetic": (1.0, 1.2, 1.5 + 0.1j),
+}
+
+
+class TestPythonComplexLoops:
+    """The degree loops run on Python complex; the numpy-scalar loops they
+    replaced are the references, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_MEDIA))
+    def test_coeffs_bit_equal_to_numpy_loop(self, kind):
+        eps_m, mu_m, mu_c = _MEDIA[kind]
+        drude = media.DrudeParams(1.0, 1.0, 0.05)
+        for n_max in range(1, 41):
+            for radius in (0.3, 4.0):
+                geom = mie.SphereGeometry(radius)
+                w = np.linspace(0.3, 0.95, 40)[n_max - 1]  # an np.float64, as scans pass
+                med = media.MediumPair(eps_m, mu_m, media.drude_permittivity(drude, w), mu_c)
+                got = mie.scattering_coeffs(geom, med, w, n_max)
+                n, s_te, s_tm, flagged = scattering_coeffs_numpy(geom, med, w, n_max)
+                assert (got.n_max, got.flagged) == (n, flagged)
+                assert got.s_te.tobytes() == s_te.tobytes()
+                assert got.s_tm.tobytes() == s_tm.tobytes()
+
+    def test_riccati_bit_equal_to_numpy_loop(self):
+        for n_max in range(1, 41):
+            for z in (0.37 * n_max, complex(0.37 * n_max, 0.2), complex(1.5, -3.0),
+                      np.complex128(0.8 + 0.1j)):
+                got = specfun.riccati_seq(n_max, z)
+                want = riccati_seq_numpy(n_max, z)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_flagged_degree(self):
+        # Newton on eps_c for a zero of the degree-1 TM denominator; there the
+        # degree is flagged and reported finite, with the reference's bits
+        geom = mie.SphereGeometry(0.3)
+
+        def den(eps_c):
+            med = media.MediumPair(1.0, 1.0, eps_c, 1.0)
+            k_m, k_c = media.wavenumbers(med, 1.0)
+            _, hm = specfun.bessel_jh_seq(1, k_m * 0.3)
+            _, Hm = specfun.riccati_seq(1, k_m * 0.3)
+            jc, _ = specfun.bessel_jh_seq(1, k_c * 0.3)
+            Jc, _ = specfun.riccati_seq(1, k_c * 0.3)
+            return complex(Jc[1] * hm[1] - eps_c * jc[1] * Hm[1])
+
+        eps_c = -2.0 + 0.01j
+        for _ in range(20):
+            eps_c -= den(eps_c) * 2e-7 / (den(eps_c + 1e-7) - den(eps_c - 1e-7))
+        assert abs(eps_c - (-2.2217 - 0.0612j)) < 1e-4
+        med = media.MediumPair(1.0, 1.0, eps_c, 1.0)
+        got = mie.scattering_coeffs(geom, med, 1.0)
+        _, s_te, s_tm, flagged = scattering_coeffs_numpy(geom, med, 1.0)
+        assert got.flagged == flagged == [1]
+        assert np.isfinite(got.s_tm[1])
+        assert got.s_tm.tobytes() == s_tm.tobytes()
+        assert got.s_te.tobytes() == s_te.tobytes()
+
+    @pytest.mark.parametrize("mode", ["series", "dipole"])
+    def test_one_wavenumber_per_point(self, mode, monkeypatch):
+        # the coefficients carry k_m, so an extinction evaluates k_m and k_c once
+        calls = []
+        wavenumber = media.wavenumber
+        monkeypatch.setattr(media, "wavenumber", lambda *a: calls.append(a) or wavenumber(*a))
+        w = np.float64(0.6)
+        med = _drude_medium(w)
+        mie.extinction(mie.SphereGeometry(0.5), med, w, _pw(), mode=mode)
+        assert len(calls) == 2
+        coeffs = mie.scattering_coeffs(mie.SphereGeometry(0.5), med, w)
+        k_m, _ = media.wavenumbers(med, w)
+        assert type(coeffs.k_m) is type(k_m) and coeffs.k_m == k_m
 
 
 class TestExtinction:

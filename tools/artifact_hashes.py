@@ -2,25 +2,38 @@
 
     python3 tools/artifact_hashes.py --out hashes.json       (from the root of a checkout)
     python3 tools/artifact_hashes.py --compare hashes.json
+    python3 tools/artifact_hashes.py --compare hashes.json --rtol 1e-12
 
 Each job of ``perfbench/workloads.build(workload, seed)``, and each of the
 fixed ``EXTRA`` jobs for what the workloads miss, runs once through
 ``plasmonics.cli.main`` in a temporary directory, with the library imported
-from the checkout's ``src``.  ``--out`` writes the sha256 of every artifact;
-``--compare`` reports the jobs whose artifacts differ from a saved file, with
-the ``rc`` and the names of the artifacts that changed in each, and exits 1
-if any do, so a refactor proves byte-identity against its parent by running
-``--out`` in the parent's checkout and ``--compare`` in its own.  The tool
-reads only ``perfbench/`` besides the library, so when the parent's copy of
-this file is older, copy this one into the parent's checkout first: both
-sides then run the same jobs.
+from the checkout's ``src``.  ``--out`` writes the ``rc``, the sha256 and
+the text of every artifact; ``--compare`` reports the jobs whose artifacts
+differ from a saved file, with the ``rc`` and the names of the artifacts that
+changed in each, and exits 1 if any do, so a refactor proves byte-identity
+against its parent by running ``--out`` in the parent's checkout and
+``--compare`` in its own.  The tool reads only ``perfbench/`` besides the
+library, so when the parent's copy of this file is older, copy this one into
+the parent's checkout first: both sides then run the same jobs.
+
+With ``--rtol X`` a change may move the last digits.  For each artifact whose
+bytes changed, the numbers of its CSV cells, JSON values or text are
+compared, and the largest relative difference |a - b| / max(|a|, |b|) is
+reported.  The structure must still match exactly: ``rc``, artifact names,
+JSON keys, list lengths and every non-float value (``found``, the integer
+multiplicities and degrees, strings, null), CSV headers and row counts, and
+the text between numbers.  A job differs if its structure does or if a
+difference exceeds X.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -73,8 +86,10 @@ C10_SPHERE = {"geometry": {"radius": 0.3 * math.sqrt(3.0)}, "drude": {"gamma": 0
 #: ``remainder_scale`` away from the defaults.  The workloads run every
 #: resonance search under ``--order both``; the three single-order jobs run
 #: one order alone, and ``lossy-magnetic-sphere`` gives the four sphere
-#: families a complex permeability.  None of them exits nonzero, and none is
-#: jittered.
+#: families a complex permeability.  The workload spectra are nonmagnetic and
+#: stop at n_max 18; ``spectrum-lossy-magnetic-sphere`` scans with mu_c !=
+#: mu_m, and ``spectrum-large-sphere`` (radius 30) runs the series to n_max
+#: 43.  None of them exits nonzero, and none is jittered.
 EXTRA = (
     ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
     ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
@@ -90,6 +105,8 @@ EXTRA = (
     ("corrected-shell", "resonance", SHELL, ("--order", "corrected")),
     ("quasistatic-c10-sphere", "resonance", C10_SPHERE, ()),
     ("lossy-magnetic-sphere", "resonance", LOSSY_MAGNETIC_SPHERE, BOTH),
+    ("spectrum-lossy-magnetic-sphere", "spectrum", LOSSY_MAGNETIC_SPHERE, ()),
+    ("spectrum-large-sphere", "spectrum", {"geometry": {"radius": 30.0}}, ()),
 )
 
 
@@ -106,8 +123,11 @@ def artifact_hashes(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for i, (prefix, jobs) in enumerate(batches):
             result = bench.Workspace(Path(tmp) / str(i), jobs).run_pass(cli)
-            for job, rc, digest in zip(jobs, result["rcs"], bench.hashes(result["arts"])):
-                out[f"{prefix}/{job.name}"] = {"rc": rc, "files": digest}
+            for job, rc, arts, digest in zip(jobs, result["rcs"], result["arts"],
+                                             bench.hashes(result["arts"])):
+                out[f"{prefix}/{job.name}"] = {
+                    "rc": rc, "files": digest,
+                    "texts": {name: data.decode() for name, data in arts.items()}}
     return out
 
 
@@ -121,22 +141,135 @@ def changes(want: dict | None, got: dict | None) -> list[str]:
     return out + sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
 
 
+class StructureError(Exception):
+    """Two artifacts differ in more than their floating-point numbers."""
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b")
+
+
+def rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def json_diff(a, b, where: str = "") -> float:
+    """Largest relative difference between the floats of two JSON values."""
+    if isinstance(a, float) and isinstance(b, float):
+        return rel_diff(a, b)
+    if type(a) is not type(b):
+        raise StructureError(f"{where or 'top'}: {a!r} against {b!r}")
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            raise StructureError(f"{where or 'top'}: keys {sorted(a)} against {sorted(b)}")
+        return max((json_diff(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            raise StructureError(f"{where or 'top'}: {len(a)} entries against {len(b)}")
+        return max((json_diff(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    if a != b:
+        raise StructureError(f"{where}: {a!r} against {b!r}")
+    return 0.0
+
+
+def cell_diff(a: str, b: str, where: str) -> float:
+    try:
+        return rel_diff(float(a), float(b))
+    except ValueError:
+        if a != b:
+            raise StructureError(f"{where}: {a!r} against {b!r}") from None
+        return 0.0
+
+
+def csv_diff(a: str, b: str) -> float:
+    """Largest relative difference between the numeric cells of two CSV tables."""
+    ra, rb = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    if len(ra) != len(rb) or ra[:1] != rb[:1]:
+        raise StructureError(f"{len(ra)} rows with header {ra[:1]} against "
+                             f"{len(rb)} rows with header {rb[:1]}")
+    worst = 0.0
+    for i, (x, y) in enumerate(zip(ra[1:], rb[1:]), start=2):
+        if len(x) != len(y):
+            raise StructureError(f"row {i}: {len(x)} cells against {len(y)}")
+        worst = max([worst, *(cell_diff(u, v, f"row {i}") for u, v in zip(x, y))])
+    return worst
+
+
+def text_diff(a: str, b: str) -> float:
+    """Largest relative difference between the numbers of two texts whose
+    other characters match."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        raise StructureError("the text between numbers differs")
+    return max((rel_diff(float(x), float(y))
+                for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))), default=0.0)
+
+
+def artifact_diff(name: str, a: str, b: str) -> float:
+    if name.endswith(".json"):
+        return json_diff(json.loads(a), json.loads(b))
+    if name.endswith(".csv"):
+        return csv_diff(a, b)
+    return text_diff(a, b)
+
+
+def numeric_changes(want: dict | None, got: dict | None, rtol: float) -> tuple[bool, list[str]]:
+    """Whether two entries of one job differ beyond ``rtol`` or in structure,
+    and one note per changed artifact: its largest relative difference, or
+    the structural difference."""
+    if want is None or got is None or want["rc"] != got["rc"] or \
+            want["files"].keys() != got["files"].keys():
+        return True, changes(want, got)
+    differ, notes = False, []
+    for name in sorted(want["files"]):
+        if want["files"][name] == got["files"][name]:
+            continue
+        try:
+            d = artifact_diff(name, want["texts"][name], got["texts"][name])
+        except StructureError as exc:
+            differ = True
+            notes.append(f"{name} structure: {exc}")
+            continue
+        differ = differ or not d <= rtol
+        notes.append(f"{name} max relative difference {d:.3g}")
+    return differ, notes
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", type=Path, help="write the hashes to this JSON file")
     mode.add_argument("--compare", type=Path, help="compare the hashes with this JSON file")
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="with --compare: allow numbers to differ by this relative amount")
     args = ap.parse_args(argv)
+    if args.rtol is not None and not (args.compare and args.rtol >= 0):
+        ap.error("--rtol needs --compare and a value >= 0")
     got = artifact_hashes(Path.cwd())
     if args.out:
         args.out.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
         print(f"{len(got)} jobs hashed")
         return 0
     want = json.loads(args.compare.read_text())
-    differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    for key in differ:
-        print(f"differs: {key}: {', '.join(changes(want.get(key), got.get(key)))}")
-    print(f"{len(differ)} of {len(want.keys() | got.keys())} jobs differ")
+    if args.rtol is not None and not all("texts" in entry for entry in want.values()):
+        ap.error(f"{args.compare} holds no artifact texts; write it again with --out")
+    keys = sorted(want.keys() | got.keys())
+    changed = [k for k in keys if changes(want.get(k), got.get(k))]
+    if args.rtol is None:
+        for key in changed:
+            print(f"differs: {key}: {', '.join(changes(want.get(key), got.get(key)))}")
+        print(f"{len(changed)} of {len(keys)} jobs differ")
+        return 1 if changed else 0
+    differ = 0
+    for key in changed:
+        bad, notes = numeric_changes(want.get(key), got.get(key), args.rtol)
+        differ += bad
+        print(f"{'differs' if bad else 'within'}: {key}: {'; '.join(notes)}")
+    print(f"{differ} of {len(keys)} jobs differ beyond rtol {args.rtol:g} "
+          f"({len(changed) - differ} more changed within it)")
     return 1 if differ else 0
 
 
