@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -158,28 +159,39 @@ def _pair_vectors(n: int, rho: float):
     normalizers, in the pair coordinates; with L and ``shell_coeffs``.
 
     These depend on (n, rho) alone, so they are computed once per (n, rho)
-    and returned read-only: mappings from branch to value.  Where L rounds to
-    the ball eigenvalue (rho below about 3.5e-6 at n = 1, 4.3e-4 at n = 2),
-    the normalizers 2L(L - phat) vanish, and DomainError names rho and n.
+    and returned read-only: mappings from branch to value.
+
+    With x = 4n(n+1) rho^(2n+1), L = phat sqrt(1 + x), and every L - phat
+    is taken as ``phat x / (sqrt(1 + x) + 1)``, which equals it exactly but
+    does not cancel as rho shrinks.  The smallest products that a branch row
+    forms are of order x rho; where that leaves the normal range of double
+    precision (rho below about 7e-78 at n = 1, 2e-39 at n = 3), digits of
+    tau2 are lost, and DomainError names rho and n.
     """
     c = shell_coeffs(n, rho)
     phat = _media.ball_np_eigenvalue(n)
     L = shell_np_eigenvalue(n, rho)
-    if L == phat:
-        raise DomainError(f"shell rho = {rho!r} is too small at degree n = {n}: the shell "
-                          "eigenvalue rounds to the ball's, and the biorthogonal "
-                          "normalizer 2L(L - 1/(2(2n+1))) vanishes")
+    x = 4.0 * n * (n + 1) * rho ** (2 * n + 1)
+    if x * rho < sys.float_info.min:
+        raise DomainError(f"shell rho = {rho!r} is too small at degree n = {n}: "
+                          "4n(n+1) rho^(2n+2) underflows double precision, and with it "
+                          "the products of the biorthogonal eigenvectors")
+    # L - phat = phat (sqrt(1 + x) - 1) = phat x / (sqrt(1 + x) + 1)
+    gap = {+1: L + phat, -1: phat * x / (math.sqrt(1.0 + x) + 1.0)}
     right = {}
     left = {}
     norm = {}
     for b, (a, sgn, _) in _BRANCH_DEF.items():
+        # sgn L + phat (odd pairs) or sgn L - phat (even pairs) is sgn * gap[s]
+        s = sgn if a in (1, 3) else -sgn
+        up = sgn * gap[s]
         if a in (1, 3):   # pairs with coupling [[+phat, rho^2 g], [f, -phat]]
-            right[b] = (sgn * L + phat, c.f)
-            left[b] = (sgn * L + phat, rho**2 * c.g)
+            right[b] = (up, c.f)
+            left[b] = (up, rho**2 * c.g)
         else:             # pairs with coupling [[-phat, rho^2 f], [g, +phat]]
-            right[b] = (sgn * L - phat, c.g)
-            left[b] = (sgn * L - phat, rho**2 * c.f)
-        norm[b] = 2.0 * L * (L + sgn * phat) if a in (1, 3) else 2.0 * L * (L - sgn * phat)
+            right[b] = (up, c.g)
+            left[b] = (up, rho**2 * c.f)
+        norm[b] = 2.0 * L * gap[s]
     return MappingProxyType(right), MappingProxyType(left), MappingProxyType(norm), L, c
 
 
@@ -267,12 +279,14 @@ class _ShellRows:
             if self.nonmagnetic:
                 # elem_cb carries the placeholder C_mu = 1; the 1/gap combines
                 # with it into the finite limit eps_m - eps_s.
-                el += elem_bc * elem_cb * self.cross_limit / norm[cb]
-                mixing.append((cb - 1, elem_cb * self.cross_limit / norm[cb]))
+                mix = elem_cb * self.cross_limit / norm[cb]
             else:
-                den = norm[cb] * (tau0 - self.tau0(cb))
-                el += elem_bc * elem_cb / den
-                mixing.append((cb - 1, elem_cb / den))
+                mix = elem_cb / (norm[cb] * (tau0 - self.tau0(cb)))
+            # elem_bc times the mixing, not elem_bc * elem_cb first: for an
+            # inner-surface partner that product is O(rho^(4n+2)) and
+            # underflows long before the quotient does
+            el += elem_bc * mix
+            mixing.append((cb - 1, mix))
         return EigenExpansion(family=f"branch{b}", n=self.n, index=b - 1, tau0=tau0, tau1=0.0,
                               tau2_coeff=el / norm[b], mixing=tuple(mixing))
 

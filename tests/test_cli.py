@@ -289,10 +289,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [["modes"], ["resonance", "--order", "corrected"]],
                              ids=["modes", "resonance-corrected"])
     def test_tiny_shell_rho_refused(self, tmp_path, capsys, args):
-        # at rho = 1e-10 the shell eigenvalue rounds to the ball's and the
-        # biorthogonal normalizers vanish: a typed refusal naming rho and n
+        # at rho = 1e-120 the shell expansion's products of order
+        # rho^(2n+2) underflow already at n = 1, a typed refusal naming rho
+        # and n
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[run]\ngeometry = shell\n[geometry]\nradius = 0.3\nrho = 1e-10\n")
+        cfg.write_text("[run]\ngeometry = shell\n[geometry]\nradius = 0.3\nrho = 1e-120\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = run([*args, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -300,7 +301,27 @@ class TestExitCodes:
         assert caught == []
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "DomainError"
-        assert "rho = 1e-10" in error["message"] and "n = 1" in error["message"]
+        assert "rho = 1e-120" in error["message"] and "n = 1" in error["message"]
+
+    def test_tiny_shell_rho_is_the_sphere(self, tmp_path):
+        # at rho = 1e-10 the eps branches 5-8 of the shell are the sphere's
+        # eps+ (5, 6) and eps- (7, 8) families to rounding, at every n
+        rows = {}
+        for geometry in ("sphere", "shell"):
+            cfg = tmp_path / f"{geometry}.ini"
+            cfg.write_text(f"[run]\ngeometry = {geometry}\n"
+                           "[geometry]\nradius = 0.3\nrho = 1e-10\n")
+            out = tmp_path / geometry
+            assert run(["modes", "--config", str(cfg), "--out", str(out)]) == 0
+            lines = (out / "modes.csv").read_text().splitlines()[1:]
+            for line in lines:
+                family, n, *values = line.split(",")
+                rows[family, int(n)] = [float(v) for v in values]
+        for n in (1, 2, 3):
+            for branch, family in ((5, "eps+"), (6, "eps+"), (7, "eps-"), (8, "eps-")):
+                got, want = rows[f"branch{branch}", n], rows[family, n]
+                assert got[0] == want[0]
+                assert all(abs(g - w) <= 1e-9 * max(1.0, abs(w)) for g, w in zip(got, want))
 
     def test_stderr_is_one_json_document(self, tmp_path):
         # numpy warns on the way to this refusal; pytest would capture the

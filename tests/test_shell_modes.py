@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -238,6 +239,93 @@ class TestDegenerateExpansion:
             sh.shell_degenerate_expansion(1, 0.5, grid, med)
         assert scalar.value.combination is not None
         assert array.value.combination == scalar.value.combination
+
+
+def _sphere_limit_errors(n: int, rho: float, med: media.MediumPair, om: float):
+    """|shell - sphere| of tau0 and tau2_coeff for branches 5-8, and of the
+    first-order mixing of the outer-surface branches 5 and 8.
+
+    Branches 5, 6 continue the sphere's eps+ family and 7, 8 its eps-.  A
+    branch's mixing, projected on the outer surface and scaled to the
+    branch's own outer component, is a coefficient of the sphere's basis:
+    partner cb contributes coef * up(cb) / up(b), where up is the upper
+    (outer) component of the right vector."""
+    sphere = {e.family: e for e in sm.eigen_expansions(n, om, med)}
+    shell = {e.family: e for e in sh.shell_degenerate_expansion(n, rho, om, med)}
+    right = sh._pair_vectors(n, rho)[0]
+    tau0, tau2, mixing = [], [], []
+    for b, fam in ((5, "eps+"), (6, "eps+"), (7, "eps-"), (8, "eps-")):
+        e, want = shell[f"branch{b}"], sphere[fam]
+        tau0.append(abs(e.tau0 - want.tau0))
+        tau2.append(abs(e.tau2_coeff - want.tau2_coeff))
+        if b in (5, 8):
+            (partner, coef), = want.mixing
+            got = sum(c * right[cb + 1][0] / right[b][0] for cb, c in e.mixing
+                      if sh._BRANCH_DEF[cb + 1][0] == partner + 1)
+            mixing.append(abs(got - coef))
+    return max(tau0), max(tau2), max(mixing)
+
+
+class TestSphereLimit:
+    """As rho -> 0 the eps branches 5-8 of a shell become the solid sphere's
+    eps families: tau0 at rate rho^(2n+1), the rate of L - phat, and
+    tau2_coeff and the mixing at rate rho^(2n), from the cross terms through
+    the inner-surface partners, whose normalizers are O(rho^(2n+1)).  Some
+    cases converge faster (tau2_coeff at n = 2, the nonmagnetic mixing)."""
+
+    @pytest.mark.parametrize("mu_s", [1.0, 1.5], ids=["nonmagnetic", "magnetic"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rho_ladder_rates(self, n, gamma, mu_s):
+        om = 0.6
+        med = media.MaterialPreset(media.DrudeParams(1.0, 1.0, gamma), mu_c=mu_s).medium_at(om)
+        errs = [_sphere_limit_errors(n, rho, med, om) for rho in LADDER]
+        for (big, small) in zip(errs, errs[1:]):
+            for k, (e_big, e_small) in enumerate(zip(big, small)):
+                rate = 2 * n + 1 if k == 0 else 2 * n
+                assert e_small <= 2.0 ** -(rate - 0.5) * e_big + 1e-15
+        # far below the ladder the expansion is the sphere's to rounding
+        assert max(_sphere_limit_errors(n, 1e-10, med, om)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_rho_keeps_digits(self, n):
+        # below the ladder, where a difference of L and phat would lose most
+        # or all of its digits, the rates still hold
+        om = 0.6
+        med = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.0)).medium_at(om)
+        for rho in (4e-3, 1e-4, 1e-6):
+            assert max(_sphere_limit_errors(n, rho, med, om)) <= rho ** (2 * n) + 1e-15
+
+    @pytest.mark.parametrize("rho", [0.5, 1e-3, 1e-8, 1e-30])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_vectors_against_mpmath(self, n, rho):
+        # the upper components sgn L +/- phat and the normalizers, whose
+        # small ones are L - phat, against values to 30 digits beyond the
+        # cancellation of L - phat
+        right, left, norm, L, _ = sh._pair_vectors(n, rho)
+        with mp.workdps(30 + int(-(2 * n + 1) * math.log10(rho))):
+            phat = mp.mpf(1) / (2 * (2 * n + 1))
+            big_l = phat * mp.sqrt(1 + 4 * n * (n + 1) * mp.mpf(rho) ** (2 * n + 1))
+            for b, (a, sgn, _) in sh._BRANCH_DEF.items():
+                up = sgn * big_l + (phat if a in (1, 3) else -phat)
+                nb = 2 * big_l * (big_l + (sgn if a in (1, 3) else -sgn) * phat)
+                assert right[b][0] == left[b][0]
+                assert abs(right[b][0] - up) <= 1e-15 * abs(up)
+                assert abs(norm[b] - nb) <= 1e-15 * abs(nb)
+
+    @pytest.mark.parametrize("n, rho", [(1, 1e-70), (2, 1e-48), (3, 1e-36)])
+    def test_near_underflow_is_the_sphere(self, n, rho):
+        for gamma, mu_s in ((0.0, 1.0), (0.05, complex(1.3, 0.1))):
+            med = media.MaterialPreset(media.DrudeParams(1.0, 1.0, gamma),
+                                       mu_c=mu_s).medium_at(0.6)
+            assert max(_sphere_limit_errors(n, rho, med, 0.6)) < 1e-13
+
+    @pytest.mark.parametrize("n, rho", [(1, 1e-80), (1, 1e-120), (3, 1e-40)])
+    def test_underflowed_rho_refused(self, n, rho):
+        # the rows' smallest products, of order rho^(2n+2), would underflow
+        med = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.0)).medium_at(0.6)
+        with pytest.raises(DomainError, match=f"rho = {rho!r} .* n = {n}"):
+            sh.shell_degenerate_expansion(n, rho, 0.6, med)
 
 
 class TestShellResonances:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -245,15 +246,29 @@ class TestArrayEvaluation:
             sm.material_constants(med)
 
 
-def _scalar_loop_minimize(f, omega_range, n_grid=200, tol=1e-10):
-    """The coarse grid evaluated one frequency at a time, as a reference."""
+def _scalar_loop_minimize(f, omega_range, n_grid=200):
+    """The coarse grid evaluated one frequency at a time, then the same
+    refinement, as a reference for the single array call."""
     lo, hi = omega_range
     grid = np.linspace(lo, hi, n_grid)
     vals = np.array([abs(f(w)) for w in grid])
     i = int(np.argmin(vals))
     if i == 0 or i == n_grid - 1:
         return None
-    return sm._golden_minimize(lambda w: abs(f(w)), grid[i - 1], grid[i + 1], tol=tol)
+    return sm._slope_root(f, float(grid[i - 1]), float(grid[i + 1]))
+
+
+def _drude_argmin(gamma: float, n: int, guess: float) -> mp.mpf:
+    """mpmath argmin of the quasistatic eps+ |tau| of a Drude sphere in
+    vacuum (eps_inf = omega_p = 1): the root of d|tau|^2/domega."""
+    with mp.workdps(40):
+        phat = mp.mpf(1) / (2 * (2 * n + 1))
+
+        def modulus2(w):
+            eps = 1 - 1 / (w * (w + 1j * gamma))
+            return abs((eps + 1) / (2 * (1 - eps)) + phat) ** 2
+
+        return mp.findroot(lambda w: mp.diff(modulus2, w), mp.mpf(guess))
 
 
 def _sphere_reports(mu_c):
@@ -276,6 +291,15 @@ def _shell_reports():
 def _aniso_reports():
     drude = media.DrudeParams(1.0, 1.0, 0.02)
     return effective.aniso_resonance(drude, 1.0, np.diag([1.0, -1.0, 0.0]), delta=0.1)
+
+
+#: the resonance searches of every caller of ``minimize_modulus``
+REPORTS = [
+    pytest.param(lambda: _sphere_reports(1.0), id="sphere"),
+    pytest.param(lambda: _sphere_reports(1.5), id="sphere-magnetic"),
+    pytest.param(_shell_reports, id="shell"),
+    pytest.param(_aniso_reports, id="aniso"),
+]
 
 
 class TestMinimizeModulus:
@@ -304,12 +328,7 @@ class TestMinimizeModulus:
         # families) returns one value for the whole grid
         assert sm.minimize_modulus(lambda w: 0.25 + 0.0j, (0.1, 0.9)) is None
 
-    @pytest.mark.parametrize("reports", [
-        pytest.param(lambda: _sphere_reports(1.0), id="sphere"),
-        pytest.param(lambda: _sphere_reports(1.5), id="sphere-magnetic"),
-        pytest.param(_shell_reports, id="shell"),
-        pytest.param(_aniso_reports, id="aniso"),
-    ])
+    @pytest.mark.parametrize("reports", REPORTS)
     def test_bit_identical_to_scalar_loop(self, reports, monkeypatch):
         got = reports()
         monkeypatch.setattr(sm, "minimize_modulus", _scalar_loop_minimize)
@@ -317,6 +336,65 @@ class TestMinimizeModulus:
         want = reports()
         assert any(r["found"] if isinstance(r, dict) else r.found for r in got)
         assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.002, 0.02, 0.05, 0.1, 0.2])
+    def test_argmin_against_mpmath(self, gamma, n):
+        host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, gamma))
+        om = sm.find_resonance("eps+", n, host, 0.1, "quasistatic").omega_star
+        want = _drude_argmin(gamma, n, om)
+        assert abs(om - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("eps_m", [1.0, 2.25])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lossless_closed_form_roots(self, n, eps_m):
+        # the eps+ leading term vanishes where eps_c = -(n+1)/n eps_m, that
+        # is 1 - 1/omega^2 = -(n+1)/n eps_m
+        host = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.0), eps_m=eps_m)
+        om = sm.find_resonance("eps+", n, host, 0.1, "quasistatic").omega_star
+        want = 1.0 / math.sqrt(1.0 + (n + 1) / n * eps_m)
+        assert abs(om - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("slope, edge, calls", [(1.0, -1, 2), (-1.0, 1, 4)],
+                             ids=["rising", "falling"])
+    def test_bracket_edge_rule(self, slope, edge, calls):
+        # the grid sees a minimum at 0.5, but between grid points tau is
+        # monotone: g has no sign change, and the refinement returns the
+        # edge that |tau| descends to, after evaluating g at the edges only
+        scalar_calls = []
+
+        def tau(w):
+            if isinstance(w, np.ndarray):
+                return np.abs(w - 0.5) + 0.1j
+            scalar_calls.append(w)
+            return 2.0 + slope * w
+
+        grid = np.linspace(0.1, 0.9, 41)
+        om = sm.minimize_modulus(tau, (0.1, 0.9), n_grid=41)
+        assert om == float(grid[20 + edge]) and type(om) is float
+        assert len(scalar_calls) == calls
+
+    @pytest.mark.parametrize("reports", REPORTS)
+    def test_tau_evaluations_per_refinement(self, reports, monkeypatch):
+        minimize, counts = sm.minimize_modulus, []
+
+        def counted(f, *args, **kwargs):
+            scalar_calls = []
+
+            def tau(w):
+                if not isinstance(w, np.ndarray):
+                    scalar_calls.append(w)
+                return f(w)
+
+            om = minimize(tau, *args, **kwargs)
+            counts.append(len(scalar_calls))
+            assert all(type(w) is float for w in scalar_calls)
+            return om
+
+        monkeypatch.setattr(sm, "minimize_modulus", counted)
+        monkeypatch.setattr(effective, "minimize_modulus", counted)
+        reports()
+        assert 0 < max(counts) <= 30
 
 
 class TestFindResonance:

@@ -16,11 +16,18 @@ against its parent by running ``--out`` in the parent's checkout and
 library, so when the parent's copy of this file is older, copy this one into
 the parent's checkout first: both sides then run the same jobs.
 
-With ``--rtol X`` a change may move the last digits.  For each artifact whose
-bytes changed, the numbers of its CSV cells, JSON values or text are
-compared, and the largest relative difference |a - b| / max(|a|, |b|) is
-reported.  The structure must still match exactly: ``rc``, artifact names,
-JSON keys, list lengths and every non-float value (``found``, the integer
+With ``--rtol X`` a change may move the last digits.  For each artifact
+whose bytes changed, the numbers of its CSV cells, JSON values or text are
+compared field by field, and the largest relative difference is reported
+with the field where it lies.  A field is a JSON key path with the list
+indices left out (``reports[].tau_at_min.re``), a CSV column, or all the
+numbers of a text.  The difference of a and b is |a - b| / max(|a|, |b|,
+floor), where the floor is ``FLOOR`` (sqrt of the machine epsilon) times the
+largest magnitude in the same field on either side, so an exact 0 against a
+rounding residue reads as small.  A closing table gives the largest
+difference per (artifact, field) over all jobs, for the fields that moved.
+The structure must still match exactly: ``rc``, artifact names, JSON keys,
+list lengths and every non-float value (``found``, the integer
 multiplicities and degrees, strings, null), CSV headers and row counts, and
 the text between numbers.  A job differs if its structure does or if a
 difference exceeds X.
@@ -147,79 +154,99 @@ class StructureError(Exception):
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b")
 
+#: a number is compared relative to at least this fraction of the largest
+#: magnitude in its field, so a rounding residue such as -2.3e-18 beside
+#: entries of 1/3 reads as 7e-18 of its field, not as 100% of itself
+FLOOR = math.sqrt(sys.float_info.epsilon)
 
-def rel_diff(a: float, b: float) -> float:
+
+def rel_diff(a: float, b: float, floor: float = 0.0) -> float:
+    """|a - b| / max(|a|, |b|, floor), 0 for equal numbers or two NaNs."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def json_diff(a, b, where: str = "") -> float:
-    """Largest relative difference between the floats of two JSON values."""
+def json_pairs(a, b, field: str = "", where: str = ""):
+    """The (field, a, b) float pairs of two JSON values of the same
+    structure.  ``field`` is the key path with list indices left out
+    (``reports[].omega_star``), so every entry of a list shares its fields;
+    ``where`` keeps the indices, to name a structural difference."""
     if isinstance(a, float) and isinstance(b, float):
-        return rel_diff(a, b)
+        yield field, a, b
+        return
     if type(a) is not type(b):
         raise StructureError(f"{where or 'top'}: {a!r} against {b!r}")
     if isinstance(a, dict):
         if a.keys() != b.keys():
             raise StructureError(f"{where or 'top'}: keys {sorted(a)} against {sorted(b)}")
-        return max((json_diff(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
-    if isinstance(a, list):
+        for k in a:
+            yield from json_pairs(a[k], b[k], f"{field}.{k}" if field else k, f"{where}.{k}")
+    elif isinstance(a, list):
         if len(a) != len(b):
             raise StructureError(f"{where or 'top'}: {len(a)} entries against {len(b)}")
-        return max((json_diff(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
-                   default=0.0)
-    if a != b:
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from json_pairs(x, y, f"{field}[]", f"{where}[{i}]")
+    elif a != b:
         raise StructureError(f"{where}: {a!r} against {b!r}")
-    return 0.0
 
 
-def cell_diff(a: str, b: str, where: str) -> float:
-    try:
-        return rel_diff(float(a), float(b))
-    except ValueError:
-        if a != b:
-            raise StructureError(f"{where}: {a!r} against {b!r}") from None
-        return 0.0
-
-
-def csv_diff(a: str, b: str) -> float:
-    """Largest relative difference between the numeric cells of two CSV tables."""
+def csv_pairs(a: str, b: str):
+    """The (column, a, b) number pairs of two CSV tables whose header, row
+    count, row lengths and non-numeric cells match."""
     ra, rb = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
     if len(ra) != len(rb) or ra[:1] != rb[:1]:
         raise StructureError(f"{len(ra)} rows with header {ra[:1]} against "
                              f"{len(rb)} rows with header {rb[:1]}")
-    worst = 0.0
+    header = ra[0] if ra else []
     for i, (x, y) in enumerate(zip(ra[1:], rb[1:]), start=2):
-        if len(x) != len(y):
-            raise StructureError(f"row {i}: {len(x)} cells against {len(y)}")
-        worst = max([worst, *(cell_diff(u, v, f"row {i}") for u, v in zip(x, y))])
-    return worst
+        if len(x) != len(y) or len(x) != len(header):
+            raise StructureError(f"row {i}: {len(x)} cells against {len(y)}, "
+                                 f"under a header of {len(header)}")
+        for column, u, v in zip(header, x, y):
+            try:
+                yield column, float(u), float(v)
+            except ValueError:
+                if u != v:
+                    raise StructureError(f"row {i}, {column}: {u!r} against {v!r}") from None
 
 
-def text_diff(a: str, b: str) -> float:
-    """Largest relative difference between the numbers of two texts whose
-    other characters match."""
+def text_pairs(a: str, b: str):
+    """The number pairs of two texts whose other characters match, all in
+    one field."""
     if NUMBER.split(a) != NUMBER.split(b):
         raise StructureError("the text between numbers differs")
-    return max((rel_diff(float(x), float(y))
-                for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))), default=0.0)
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        yield "numbers", float(x), float(y)
 
 
-def artifact_diff(name: str, a: str, b: str) -> float:
+def artifact_diff(name: str, a: str, b: str) -> dict[str, float]:
+    """The largest relative difference of each field of two artifacts: a
+    JSON key path, a CSV column, or the numbers of a text.  Each field's
+    floor is ``FLOOR`` times its largest finite magnitude on either side."""
     if name.endswith(".json"):
-        return json_diff(json.loads(a), json.loads(b))
-    if name.endswith(".csv"):
-        return csv_diff(a, b)
-    return text_diff(a, b)
+        pairs = list(json_pairs(json.loads(a), json.loads(b)))
+    elif name.endswith(".csv"):
+        pairs = list(csv_pairs(a, b))
+    else:
+        pairs = list(text_pairs(a, b))
+    scale: dict[str, float] = {}
+    for field, x, y in pairs:
+        scale[field] = max([scale.get(field, 0.0), *(abs(v) for v in (x, y) if math.isfinite(v))])
+    out: dict[str, float] = {}
+    for field, x, y in pairs:
+        out[field] = max(out.get(field, 0.0), rel_diff(x, y, FLOOR * scale[field]))
+    return out
 
 
-def numeric_changes(want: dict | None, got: dict | None, rtol: float) -> tuple[bool, list[str]]:
+def numeric_changes(want: dict | None, got: dict | None, rtol: float,
+                    fields: dict) -> tuple[bool, list[str]]:
     """Whether two entries of one job differ beyond ``rtol`` or in structure,
-    and one note per changed artifact: its largest relative difference, or
-    the structural difference."""
+    and one note per changed artifact: its largest relative difference and
+    the field where it lies, or the structural difference.  ``fields``
+    collects the largest difference per (artifact, field) over calls."""
     if want is None or got is None or want["rc"] != got["rc"] or \
             want["files"].keys() != got["files"].keys():
         return True, changes(want, got)
@@ -228,13 +255,16 @@ def numeric_changes(want: dict | None, got: dict | None, rtol: float) -> tuple[b
         if want["files"][name] == got["files"][name]:
             continue
         try:
-            d = artifact_diff(name, want["texts"][name], got["texts"][name])
+            per_field = artifact_diff(name, want["texts"][name], got["texts"][name])
         except StructureError as exc:
             differ = True
             notes.append(f"{name} structure: {exc}")
             continue
+        field, d = max(per_field.items(), key=lambda kv: kv[1], default=("", 0.0))
+        for f, v in per_field.items():
+            fields[name, f] = max(fields.get((name, f), 0.0), v)
         differ = differ or not d <= rtol
-        notes.append(f"{name} max relative difference {d:.3g}")
+        notes.append(f"{name} max relative difference {d:.3g} at {field or 'no number'}")
     return differ, notes
 
 
@@ -263,11 +293,16 @@ def main(argv=None) -> int:
             print(f"differs: {key}: {', '.join(changes(want.get(key), got.get(key)))}")
         print(f"{len(changed)} of {len(keys)} jobs differ")
         return 1 if changed else 0
-    differ = 0
+    differ, fields = 0, {}
     for key in changed:
-        bad, notes = numeric_changes(want.get(key), got.get(key), args.rtol)
+        bad, notes = numeric_changes(want.get(key), got.get(key), args.rtol, fields)
         differ += bad
         print(f"{'differs' if bad else 'within'}: {key}: {'; '.join(notes)}")
+    moved = sorted((key, d) for key, d in fields.items() if d > 0)
+    if moved:
+        print("largest relative difference per field that moved:")
+        for (name, field), d in moved:
+            print(f"  {name} {field}: {d:.3g}")
     print(f"{differ} of {len(keys)} jobs differ beyond rtol {args.rtol:g} "
           f"({len(changed) - differ} more changed within it)")
     return 1 if differ else 0
