@@ -117,11 +117,16 @@ def drude_permittivity(p: DrudeParams, omega: float | np.ndarray) -> complex | n
     ``omega`` is a float or an array of them; the result is a complex or a
     complex array of the same shape.  A NaN frequency is refused like a
     nonpositive one, and so is a permittivity beyond double-precision range
-    (omega_p**2 / omega**2 overflows, as at omega = 1e-160).
+    (omega_p**2 / omega**2 overflows, as at omega = 1e-160, or omega**2
+    underflows to 0, as at omega = 1e-200).
     """
     if not all_of(omega > 0):
         raise DomainError("drude_permittivity requires omega > 0")
-    eps = p.eps_inf - p.omega_p**2 / (omega * (omega + 1j * p.gamma_damp))
+    try:
+        eps = p.eps_inf - p.omega_p**2 / (omega * (omega + 1j * p.gamma_damp))
+    except ZeroDivisionError:
+        # a Python float raises where numpy divides by the underflowed 0 to inf
+        eps = complex(math.inf)
     if not (np.isfinite(eps).all() if isinstance(eps, _ndarray) else cmath.isfinite(eps)):
         raise DomainError("Drude permittivity overflows double precision: "
                           f"omega_p**2 / omega**2 too large for omega_p = {p.omega_p!r}")

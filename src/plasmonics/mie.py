@@ -146,11 +146,16 @@ def scattering_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float
 def _dipole_coeffs(geom: SphereGeometry, med: _media.MediumPair, omega: float) -> ScatterCoeffs:
     # Leading small-radius asymptotics of S_1; higher degrees are O(r^4).
     k_m, _ = _media.wavenumbers(med, omega)
-    x3 = (k_m * geom.radius) ** 3
     s_te = np.zeros(2, dtype=complex)
     s_tm = np.zeros(2, dtype=complex)
-    s_te[1] = 1j * (2.0 / 3.0) * (med.mu_c - med.mu_m) * x3 / (2.0 * med.mu_m + med.mu_c)
-    s_tm[1] = 1j * (2.0 / 3.0) * (med.eps_c - med.eps_m) * x3 / (2.0 * med.eps_m + med.eps_c)
+    try:
+        x3 = (k_m * geom.radius) ** 3
+        s_te[1] = 1j * (2.0 / 3.0) * (med.mu_c - med.mu_m) * x3 / (2.0 * med.mu_m + med.mu_c)
+        s_tm[1] = 1j * (2.0 / 3.0) * (med.eps_c - med.eps_m) * x3 / (2.0 * med.eps_m + med.eps_c)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # Python complex raises where numpy scalars returned inf or nan
+        raise DomainError("dipole coefficients out of double-precision range "
+                          f"at omega = {omega!r}") from exc
     return ScatterCoeffs(n_max=1, s_te=s_te, s_tm=s_tm, k_m=k_m)
 
 
@@ -165,6 +170,9 @@ def _degrees(n_max: int) -> np.ndarray:
 
 
 def _amplitude_from_coeffs(coeffs: ScatterCoeffs, pw: PlaneWave, xhat: Direction) -> np.ndarray:
+    """The amplitude as a sum over the packed (n, m) rows: each mode's
+    coefficient times its incident weight, contracted with the harmonics at
+    ``xhat`` by two (K,) @ (K, 3) matrix products."""
     p = pw.p_vector()
     _, Ud, Vd = specfun.harmonics_all(coeffs.n_max, pw.direction)
     _, Ux, Vx = specfun.harmonics_all(coeffs.n_max, xhat)
@@ -172,7 +180,7 @@ def _amplitude_from_coeffs(coeffs: ScatterCoeffs, pw: PlaneWave, xhat: Direction
     deg = _degrees(coeffs.n_max)
     wte = coeffs.s_te[deg] * (np.conj(Vd) @ p)
     wtm = coeffs.s_tm[deg] * (np.conj(Ud) @ p)
-    return (pref * 1j * (wte[:, None] * Vx + wtm[:, None] * Ux)).sum(axis=0)
+    return pref * 1j * (wte @ Vx + wtm @ Ux)
 
 
 def plane_wave_amplitude(geom: SphereGeometry, med: _media.MediumPair, omega: float,
@@ -196,6 +204,9 @@ def extinction(geom: SphereGeometry, med: _media.MediumPair, omega: float, pw: P
         coeffs = _dipole_coeffs(geom, med, omega)
     else:
         raise DomainError(f"unknown extinction mode {mode!r}")
+    if coeffs.k_m.real == 0:
+        # the optical theorem divides by it, and by k_m in the amplitude
+        raise DomainError(f"extinction undefined at host wavenumber k_m = {coeffs.k_m!r}")
     p = pw.p_vector()
     A = _amplitude_from_coeffs(coeffs, pw, pw.direction)
     forward = complex(np.dot(p, A)) / float(np.dot(p, p))
@@ -247,17 +258,21 @@ def scan_spectrum(geom: SphereGeometry, media_fn, omegas, pw: PlaneWave,
                   mode: str = "series", jobs: int = 1) -> Spectrum:
     """Extinction over a frequency grid plus peak records.
 
-    ``media_fn(omega)`` supplies the MediumPair at each grid point.  ``jobs``
-    is accepted and ignored: points are evaluated in grid order in the
-    calling thread, because a thread pool only contends for the interpreter
-    lock and was measured slower.
+    ``media_fn(omega)`` supplies the MediumPair at each grid point.  Each
+    point's frequency is passed on as a Python float, so the per-point
+    scalar arithmetic (permittivity, wavenumbers, Bessel arguments) runs on
+    Python floats and complexes rather than numpy scalars; ``qext[i]`` is
+    ``extinction(geom, media_fn(w), w, pw, mode)`` with ``w = float(om[i])``.
+    ``jobs`` is accepted and ignored: points are evaluated in grid order in
+    the calling thread, because a thread pool only contends for the
+    interpreter lock and was measured slower.
     """
     om = np.asarray(list(omegas), dtype=float)
     if om.size < 3:
         raise DomainError("scan grid needs at least 3 frequencies")
     if np.any(np.diff(om) <= 0):
         raise DomainError("scan grid must be strictly increasing")
-    q = np.array([extinction(geom, media_fn(w), w, pw, mode=mode) for w in om])
+    q = np.array([extinction(geom, media_fn(w), w, pw, mode=mode) for w in om.tolist()])
     return Spectrum(omega=om, qext=q, peaks=find_peaks(om, q))
 
 

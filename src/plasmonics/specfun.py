@@ -16,7 +16,8 @@ primitives.  Conventions:
   arrays: mode (n, m) sits in row ``mode_row(n, m) = n*n + n + m - 1``, so
   degree n fills the contiguous rows n*n - 1 .. n*n + 2n - 1 in increasing m.
   Results are cached per (nmax, direction) and returned read-only, because
-  the same arrays are handed to every caller.
+  the same arrays are handed to every caller; so are the sequences of
+  ``bessel_jh_seq``, per (nmax, z).
 """
 
 from __future__ import annotations
@@ -142,14 +143,26 @@ def bessel_jh_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     underflows, or h_n(z) below double range), or where the h_1 seed
     overflows (|z| below about 1e-154, where z*z is subnormal), DomainError
     names z.
+
+    Results are cached for the 8 most recent (nmax, z) and returned
+    read-only, because the same arrays are handed to every caller: a Mie
+    point asks for each of its two arguments twice, once directly and once
+    through ``riccati_seq``.  The key keeps the signs of both parts of z,
+    because -0.0 == 0.0 and both hash alike, while the sign of a zero part
+    can reach the bits of h.
     """
     z = _check_bessel_args(nmax, z)
+    return _bessel_jh_cached(nmax, z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
+@functools.lru_cache(maxsize=8)
+def _bessel_jh_cached(nmax: int, z: complex, _sign_re: float, _sign_im: float):
     try:
         h = _hankel1_seq(nmax, z)
         j = [0j] * (nmax + 1)
         if nmax == 0:
             j[0] = cmath.sin(z) / z
-            return np.array(j), np.array(h)
+            return _read_only(np.array(j), np.array(h))
         r = _ratio_cf(nmax, z)
         j_prev = (1j / (z * z)) / (r * h[nmax - 1] - h[nmax])
     except ZeroDivisionError as exc:
@@ -158,7 +171,14 @@ def bessel_jh_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     j[nmax - 1] = j_prev
     for k in range(nmax - 1, 0, -1):
         j[k - 1] = (2 * k + 1) / z * j[k] - j[k + 1]
-    return np.array(j), np.array(h)
+    return _read_only(np.array(j), np.array(h))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def bessel_pair(n: int, z: complex) -> tuple[complex, complex]:
@@ -334,9 +354,7 @@ def harmonics_all(nmax: int, xhat: Direction):
                 Y[row] = p[n] * eimp
                 U[row] = scale * eimp * (tau[n] * th + 1j * pim * ph)
                 V[row] = scale * eimp * (tau[n] * ph - 1j * pim * th)
-    for arr in (Y, U, V):
-        arr.flags.writeable = False
-    return Y, U, V
+    return _read_only(Y, U, V)
 
 
 def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int], np.ndarray]:

@@ -241,8 +241,13 @@ class TestExitCodes:
         ("spectrum", "[grid]\nomega_min = 1e-200\ncount = 5\n"),
         ("spectrum", "[drude]\nmu_c_re = 1e8\n[grid]\ncount = 5\n"),
         ("modes", "[run]\ngeometry = shell\n[host]\nmu_m = 1e300\n"),
+        ("modes", "[grid]\nomega_min = 1e-200\nomega_max = 2e-200\n"),
+        ("modes", "[grid]\nomega_min = 1e-170\nomega_max = 2e-170\n"),
+        ("spectrum", "[geometry]\nradius = 1e154\n[grid]\ncount = 5\n[spectrum]\nmode = dipole\n"),
+        ("spectrum", "[host]\neps_m = 0\n[grid]\ncount = 5\n[spectrum]\nmode = dipole\n"),
     ], ids=["mg-omega-1e-160", "mg-omega-1e-200", "spectrum-omega-1e-200",
-            "spectrum-mu_c-1e8", "modes-shell-mu_m-1e300"])
+            "spectrum-mu_c-1e8", "modes-shell-mu_m-1e300", "modes-omega-1e-200",
+            "modes-omega-1e-170", "spectrum-dipole-radius-1e154", "spectrum-dipole-eps_m-0"])
     def test_out_of_range_refused(self, tmp_path, capsys, command, ini):
         # finite inputs whose Drude permittivity, Bessel seeds or material
         # constants leave double range: a typed refusal, never a NaN artifact

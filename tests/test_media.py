@@ -55,8 +55,11 @@ class TestDrude:
         with pytest.raises(DomainError, match="omega_p"):
             media.DrudeParams(1.0, omega_p, 0.0)
 
-    @pytest.mark.parametrize("omega", [1e-160, np.float64(1e-160), np.array([0.3, 1e-160])])
+    @pytest.mark.parametrize("omega", [1e-160, np.float64(1e-160), np.array([0.3, 1e-160]),
+                                       1e-200, np.float64(1e-200), np.array([0.3, 1e-200])])
     def test_overflowing_permittivity_refused(self, omega):
+        # at 1e-200, omega**2 underflows to 0: numpy divides to inf, and a
+        # Python float raises ZeroDivisionError, which must not escape
         p = media.DrudeParams(1.0, 1.0, 0.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"), \
                 pytest.raises(DomainError, match="Drude permittivity"):

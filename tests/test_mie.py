@@ -73,6 +73,17 @@ class TestScatteringCoeffs:
         assert abs(c.s_te[c.n_max]) < 1e-14
         assert abs(c.s_tm[c.n_max]) < 1e-14
 
+    def test_each_sequence_computed_once(self, monkeypatch):
+        # four bessel_jh_seq calls per point (two through riccati_seq), but
+        # only one recurrence per argument: k_m r and k_c r
+        calls = []
+        hankel = specfun._hankel1_seq
+        monkeypatch.setattr(specfun, "_hankel1_seq", lambda *a: calls.append(a) or hankel(*a))
+        specfun._bessel_jh_cached.cache_clear()
+        w = 0.6
+        mie.scattering_coeffs(mie.SphereGeometry(2.0), _drude_medium(w), w)
+        assert len(calls) == 2 and calls[0] != calls[1]
+
 
 #: (eps_m, mu_m, mu_c) of the host and the particle's permeability
 _MEDIA = {
@@ -172,6 +183,18 @@ class TestExtinction:
             qs = mie.extinction(geom, med, w, _pw(), mode="series")
             qd = mie.extinction(geom, med, w, _pw(), mode="dipole")
             assert abs(qs - qd) <= 5e-2 * abs(qs)
+
+    @pytest.mark.parametrize("radius, med", [
+        (1e154, media.MediumPair(1.0, 1.0, -2.0 + 0.4j, 1.0)),   # (k_m r)**3 overflows
+        (0.1, media.MediumPair(1.0, 1.0, -2.0 + 0.4j, -2.0)),    # 2 mu_m + mu_c = 0
+        (0.1, media.MediumPair(2.0, 1.0, -4.0, 1.0)),            # 2 eps_m + eps_c = 0
+        (0.1, media.MediumPair(0.0, 1.0, -2.0 + 0.4j, 1.0)),     # k_m = 0
+    ], ids=["overflow", "mu-pole", "eps-pole", "k_m-zero"])
+    def test_dipole_out_of_range_refused(self, radius, med):
+        # Python complex raises where numpy scalars gave inf or nan: refused
+        # with a typed error instead
+        with pytest.raises(DomainError):
+            mie.extinction(mie.SphereGeometry(radius), med, 0.6, _pw(), mode="dipole")
 
     def test_nonnegative_for_absorbing(self):
         geom = mie.SphereGeometry(0.2)
@@ -327,6 +350,17 @@ class TestScan:
         s1 = mie.scan_spectrum(mie.SphereGeometry(0.05), preset.medium_at, om, _pw(), jobs=1)
         s4 = mie.scan_spectrum(mie.SphereGeometry(0.05), preset.medium_at, om, _pw(), jobs=4)
         assert np.array_equal(s1.qext, s4.qext)
+
+    @pytest.mark.parametrize("mode, radius", [("series", 1.5), ("dipole", 0.05)])
+    def test_points_are_python_floats(self, mode, radius):
+        # each point is the extinction at the Python float of its grid value
+        preset = media.MaterialPreset(media.DrudeParams(1.0, 1.0, 0.05), eps_m=2.25)
+        om = np.linspace(0.3, 0.9, 23)
+        geom = mie.SphereGeometry(radius)
+        spec = mie.scan_spectrum(geom, preset.medium_at, om, _pw(), mode=mode)
+        want = [mie.extinction(geom, preset.medium_at(float(w)), float(w), _pw(), mode=mode)
+                for w in om]
+        assert spec.qext.tobytes() == np.array(want).tobytes()
 
     def test_grid_validation(self):
         med = media.MediumPair(1.0, 1.0, 2.0, 1.0)

@@ -73,6 +73,68 @@ class TestBesselPair:
             specfun.bessel_pair(200, 1e-3)
 
 
+#: more (nmax, z) pairs than the cache holds: real, lossy, lower half-plane,
+#: imaginary and large-|z| arguments, degrees 0 to 120
+_BESSEL_LADDER = [(0, 0.4), (1, 0.3), (4, 1.7 + 0.2j), (7, 2.5 - 0.8j), (12, 8.0 + 3.0j),
+                  (18, 8.9), (18, 1.3j), (25, 40.0 + 0.5j), (43, 30.0), (60, 150.0 + 20.0j),
+                  (120, 180.0)]
+
+
+def _seq_bytes(seqs):
+    return [a.tobytes() for a in seqs]
+
+
+class TestBesselCache:
+    """``bessel_jh_seq`` is cached; a cached result must be the computed one."""
+
+    def test_read_only(self):
+        for seq in specfun.bessel_jh_seq(5, 1.3 + 0.2j) + specfun.bessel_jh_seq(0, 0.7):
+            with pytest.raises(ValueError):
+                seq[0] = 1.0
+
+    def test_warm_equals_cold(self):
+        cold = []
+        for nmax, z in _BESSEL_LADDER:
+            specfun._bessel_jh_cached.cache_clear()
+            cold.append(_seq_bytes(specfun.bessel_jh_seq(nmax, z)))
+        # two rounds over more keys than the cache holds: hits, then evictions
+        for _ in range(2):
+            for (nmax, z), want in zip(_BESSEL_LADDER, cold):
+                assert _seq_bytes(specfun.bessel_jh_seq(nmax, z)) == want
+                assert _seq_bytes(specfun.bessel_jh_seq(nmax, np.complex128(z))) == want
+
+    def test_riccati_after_bessel_equals_cold(self):
+        for nmax, z in _BESSEL_LADDER:
+            specfun._bessel_jh_cached.cache_clear()
+            cold = _seq_bytes(specfun.riccati_seq(nmax, z))
+            specfun._bessel_jh_cached.cache_clear()
+            specfun.bessel_jh_seq(nmax, z)
+            assert _seq_bytes(specfun.riccati_seq(nmax, z)) == cold
+
+    @pytest.mark.parametrize("neg, pos", [(complex(-0.0, 1.3), complex(0.0, 1.3)),
+                                          (complex(0.7, -0.0), complex(0.7, 0.0)),
+                                          (complex(-0.0, -2.1), complex(0.0, -2.1))])
+    def test_signed_zero_cache_order(self, neg, pos):
+        # -0.0 and 0.0 arguments compare equal and hash alike; each must get
+        # its own result whichever was evaluated first
+        args = (neg, pos)
+        cold = []
+        for z in args:
+            specfun._bessel_jh_cached.cache_clear()
+            cold.append(_seq_bytes(specfun.bessel_jh_seq(6, z)))
+        for order in ((0, 1), (1, 0)):
+            specfun._bessel_jh_cached.cache_clear()
+            for i in order:
+                assert _seq_bytes(specfun.bessel_jh_seq(6, args[i])) == cold[i]
+
+    def test_signed_zero_reaches_the_bits(self):
+        # why the key keeps the signs: a zero real part's sign changes h
+        a = specfun.bessel_jh_seq(6, complex(0.0, 1.3))
+        b = specfun.bessel_jh_seq(6, complex(-0.0, 1.3))
+        assert a[1].tobytes() != b[1].tobytes()
+        assert np.array_equal(a[1], b[1])
+
+
 class TestRiccatiPair:
     def test_wronskian_value(self):
         # j_n H_n - h_n J_n = i/z
