@@ -212,20 +212,22 @@ def cmd_resonance(cfg: RunConfig, out: Path, order: str, n_cut: int = 2) -> int:
 
 
 def cmd_mg(cfg: RunConfig, out: Path) -> int:
-    entries = []
-    for om in cfg.omega_grid():
-        med = cfg.host.medium_at(om)
-        et = effective.mg_effective(med.eps_m, med.eps_c, cfg.mg_f,
-                                    validity_constant=cfg.mg_constant)
-        entries.append({
-            "omega": om,
-            "gamma_star_re": [[v.real for v in row] for row in et.gamma_star],
-            "gamma_star_im": [[v.imag for v in row] for row in et.gamma_star],
-            "f": et.f,
-            "valid": et.valid,
-            "margin": et.margin,
-            "remainder_scale": et.remainder_scale,
-        })
+    omega = cfg.omega_grid()
+    med = cfg.host.medium_at(omega)
+    et = effective.mg_effective(med.eps_m, med.eps_c, cfg.mg_f,
+                                validity_constant=cfg.mg_constant)
+    # gamma* Id written out as a 3x3 tensor
+    entries = [{
+        "omega": om,
+        "gamma_star_re": [[g.real if i == j else 0.0 for j in range(3)] for i in range(3)],
+        "gamma_star_im": [[g.imag if i == j else 0.0 for j in range(3)] for i in range(3)],
+        "f": et.f,
+        "valid": valid,
+        "margin": margin,
+        "remainder_scale": rem,
+    } for om, g, valid, margin, rem in zip(omega.tolist(), et.gamma_star.tolist(),
+                                           et.valid.tolist(), et.margin.tolist(),
+                                           et.remainder_scale.tolist())]
     _write_json(out / "mg.json", {"sweep": entries})
     return 0
 
@@ -271,7 +273,7 @@ def cmd_selftest(_cfg: RunConfig, out: Path) -> int:
     et = effective.mg_effective(1.0, 4.0 + 0j, 0.01)
     beta = 3.0 / 6.0
     cm = 1.0 + 3 * 0.01 * beta / (1 - 0.01 * beta)
-    check("maxwell-garnett vs clausius-mossotti", abs(et.gamma_star[0, 0] - cm) <= 1e-12)
+    check("maxwell-garnett vs clausius-mossotti", abs(et.gamma_star - cm) <= 1e-12)
 
     med = media.MediumPair(1.0, 1.0, 4.0, 1.0)
     coeffs = mie.scattering_coeffs(mie.SphereGeometry(1.0), med, 1.0)

@@ -19,9 +19,12 @@ inner points are still evaluated in one ``scalar_harmonics_grid`` call per
 outer point: one call per block measured no faster, and its temporaries
 grow with the block.
 
-The Maxwell-Garnett tensor is ``eps_m (Id + f M (Id - f M / 3)^{-1})`` with M
-the unit-volume polarization tensor; its validity window shrinks like
-dist(lambda, spectrum)^(3/5) as the composite approaches resonance.
+The Maxwell-Garnett tensor ``eps_m (Id + f M (Id - f M / 3)^{-1})`` has the
+ball's M = m Id (m the scalar polarizability of the unit-volume ball), so it
+is the Clausius-Mossotti scalar ``eps_m (1 + f m / (1 - f m / 3))`` times Id,
+computed over a whole frequency grid in one array pass; its validity window
+shrinks like dist(lambda, spectrum)^(3/5) as the composite approaches
+resonance.
 """
 
 from __future__ import annotations
@@ -74,11 +77,15 @@ class AnisoPermittivity:
 
 @dataclass(frozen=True)
 class EffectiveTensor:
-    gamma_star: np.ndarray
+    """Maxwell-Garnett result: the effective permittivity is ``gamma_star Id``.
+
+    Each field but ``f`` is a scalar, or an array over the frequency grid."""
+
+    gamma_star: complex | np.ndarray
     f: float
-    remainder_scale: float
-    valid: bool
-    margin: float
+    remainder_scale: float | np.ndarray
+    valid: bool | np.ndarray
+    margin: float | np.ndarray
 
 
 def _frames(pts: np.ndarray) -> np.ndarray:
@@ -248,32 +255,38 @@ def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarra
     return merged
 
 
-def mg_effective(eps_m: complex, eps_c: complex, f: float,
+def mg_effective(eps_m: complex, eps_c: complex | np.ndarray, f: float,
                  validity_constant: float = 0.1) -> EffectiveTensor:
     """Maxwell-Garnett effective permittivity of a dilute cubic array of balls.
 
-    M is the polarization tensor of the unit-volume ball at the
-    pole-normalized contrast.  The validity flag requires ``f <=
-    validity_constant * dist^(3/5)`` where dist is the distance of the
-    contrast to the ball spectrum; the remainder scale is
-    ``f^(8/3)/dist^2``.
+    ``eps_c`` is a complex or an array over a frequency grid, and every
+    field of the result is a scalar or an array of its shape.  With m the
+    polarizability of the unit-volume ball at the pole-normalized contrast,
+    the effective permittivity is ``gamma_star Id`` with the Clausius-Mossotti
+    scalar ``gamma_star = eps_m (1 + f m / (1 - f m / 3))``; a grid point
+    where ``1 - f m / 3`` is numerically zero (the composite's own dipole
+    resonance) raises ResonantCompositeError, and one where m has its pole
+    raises PoleError.  The validity flag requires ``f <= validity_constant *
+    dist^(3/5)`` where dist is the distance of the contrast to the ball
+    spectrum; the remainder scale is ``f^(8/3)/dist^2``.
     """
     if not (0.0 < f < 1.0):
         raise DomainError("volume fraction must lie in (0, 1)")
-    m_tensor = ball_polarization_tensor(_media.lambda_star(eps_c, eps_m), _UNIT_RADIUS)
-    M = m_tensor.matrix
-    core = np.eye(3) - (f / 3.0) * M
-    det = np.linalg.det(core)
-    if abs(det) < 1e-14 * max(1.0, np.max(np.abs(M)) ** 3):
-        raise ResonantCompositeError("Id - f M / 3 is numerically singular")
-    inv = np.linalg.inv(core)
-    gamma = eps_m * (np.eye(3) + f * (M @ inv))
-    dist = _media.spectral_distance(m_tensor.lam, _BALL_SPECTRUM)
+    lam = _media.lambda_star(eps_c, eps_m)
+    m = ball_polarization_tensor(lam, _UNIT_RADIUS)
+    core = 1.0 - (f / 3.0) * m
+    # |det(Id - f M / 3)| against the scale of M^3, as for a general tensor
+    if _media.any_of(abs(core) ** 3 < 1e-14 * np.maximum(1.0, abs(m) ** 3)):
+        raise ResonantCompositeError("1 - f m / 3 is numerically zero: the composite resonates")
+    dist = _media.spectral_distance(lam, _BALL_SPECTRUM)
     margin = validity_constant * dist ** 0.6 - f
+    with np.errstate(divide="ignore", over="ignore"):
+        # unbounded on the spectrum (dist = 0), and 0 where dist^2 overflows
+        remainder_scale = f ** (8.0 / 3.0) / np.square(dist)
     return EffectiveTensor(
-        gamma_star=gamma,
+        gamma_star=eps_m * (1.0 + f * m / core),
         f=f,
-        remainder_scale=f ** (8.0 / 3.0) / dist**2 if dist > 0 else math.inf,
+        remainder_scale=remainder_scale,
         valid=margin >= 0.0,
         margin=margin,
     )

@@ -11,11 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateContrastError, DomainError
+from .errors import DegenerateContrastError, DomainError
 
 # bound once: the guards below run on every scalar call
 _ndarray = np.ndarray
@@ -150,30 +149,41 @@ def contrasts(m: MediumPair) -> Contrasts:
     return Contrasts(lambda_eps=lam_eps, lambda_mu=lam_mu)
 
 
-def lambda_star(eps_c: complex, eps_m: complex) -> complex:
+def lambda_star(eps_c: complex | np.ndarray, eps_m: complex) -> complex | np.ndarray:
     """Pole-normalized electric contrast ``(eps_c + eps_m) / (2 (eps_c - eps_m))``.
 
     This sign convention puts the ball dipole pole at ``lambda_star = 1/6``
     exactly when ``eps_c = -2 eps_m``, which is where the exact Mie
     coefficient S_1 blows up; use it wherever a resolvent ``(lambda I - K)``
-    is evaluated.
+    is evaluated.  ``eps_c`` may be an array over a frequency grid, and
+    DegenerateContrastError is raised if eps_c == eps_m at any element.
     """
-    if eps_c == eps_m:
+    if any_of(eps_c == eps_m):
         raise DegenerateContrastError("eps_c == eps_m leaves the contrast undefined")
     return (eps_c + eps_m) / (2.0 * (eps_c - eps_m))
 
 
-def spectral_distance(lam: complex, spectrum) -> float:
-    """Distance from ``lam`` to a finite spectrum."""
-    spectrum = list(spectrum)
-    if not spectrum:
+def spectral_distance(lam: complex | np.ndarray, spectrum) -> float | np.ndarray:
+    """Distance from ``lam`` to a finite spectrum: a float, or an array of
+    ``lam``'s shape when ``lam`` is an array."""
+    spectrum = np.asarray(list(spectrum), dtype=complex)
+    if not spectrum.size:
         raise DomainError("spectral_distance requires a nonempty spectrum")
-    return min(abs(complex(lam) - complex(s)) for s in spectrum)
+    dist = np.abs(np.subtract.outer(lam, spectrum)).min(axis=-1)
+    return dist if isinstance(lam, _ndarray) else float(dist)
 
 
 def wavenumber(eps: complex, mu: complex, omega: float) -> complex:
-    """k = omega*sqrt(eps*mu) on the principal branch, flipped so Im k >= 0."""
-    k = omega * complex(eps * mu) ** 0.5
+    """k = omega*sqrt(eps*mu) on the principal branch, flipped so Im k >= 0.
+
+    An eps*mu whose square root overflows (eps*mu itself beyond double
+    range) is refused with DomainError.
+    """
+    try:
+        k = omega * complex(eps * mu) ** 0.5
+    except OverflowError as exc:
+        raise DomainError(f"eps*mu = {eps * mu!r} is beyond double precision at "
+                          f"omega = {omega!r}: the wavenumber is undefined") from exc
     if k.imag < 0:
         k = -k
     return k
@@ -207,44 +217,3 @@ class MaterialPreset:
             eps_c=drude_permittivity(self.drude, omega),
             mu_c=complex(self.mu_c),
         )
-
-
-_PRESET_KEYS = {"eps_inf", "omega_p", "gamma", "mu_c_re", "mu_c_im", "eps_m", "mu_m"}
-
-
-def load_material_preset(path) -> MaterialPreset:
-    """Parse a flat ``key = value`` text file into a MaterialPreset.
-
-    Recognized keys: eps_inf, omega_p, gamma, mu_c_re, mu_c_im, eps_m, mu_m.
-    Blank lines and '#' comments are ignored; missing keys fall back to
-    vacuum-like defaults.
-    """
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _PRESET_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = float(val.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val.strip()!r}")
-    drude = DrudeParams(
-        eps_inf=values.get("eps_inf", 1.0),
-        omega_p=values.get("omega_p", 1.0),
-        gamma_damp=values.get("gamma", 0.0),
-    )
-    mu_c = complex(values.get("mu_c_re", 1.0), values.get("mu_c_im", 0.0))
-    return MaterialPreset(
-        drude=drude,
-        mu_c=mu_c,
-        eps_m=values.get("eps_m", 1.0),
-        mu_m=values.get("mu_m", 1.0),
-    )

@@ -93,7 +93,13 @@ class Spectrum:
 
 
 def truncation_order(x: float) -> int:
-    """Wiscombe-style series truncation for size parameter x = |k_m| r."""
+    """Wiscombe-style series truncation for size parameter x = |k_m| r.
+
+    A size parameter that overflowed to inf (|k_m| and r finite, their
+    product not) is refused with DomainError.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"size parameter |k_m| r = {x!r} is beyond double precision")
     return max(4, math.ceil(x + 4.05 * x ** (1.0 / 3.0)) + 2)
 
 

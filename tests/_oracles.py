@@ -17,8 +17,10 @@ no command needs but the expansions are checked against:
   evaluates the exact table ``specfun.product_coeffs`` that production code
   sums, so its residual against exact products validates that table;
 * the dipolar forward amplitude and optical-theorem extinction built from
-  polarization tensors (``forward_amplitude``, ``extinction_quasistatic``),
-  the reference of ``mie.extinction(mode="dipole")``.
+  3x3 polarization tensors (``PolarizationTensor``, ``forward_amplitude``,
+  ``extinction_quasistatic``), the reference of
+  ``mie.extinction(mode="dipole")``; a ball's tensor is its scalar
+  polarizability ``quasistatic.ball_polarization_tensor`` times Id.
 
 The numpy-scalar degree loops (``riccati_seq_numpy``,
 ``scattering_coeffs_numpy``) are the references that ``specfun.riccati_seq``
@@ -39,6 +41,7 @@ import mpmath as mp
 import numpy as np
 
 from plasmonics import media, mie, shell_modes, specfun
+from plasmonics.quasistatic import ball_polarization_tensor
 from plasmonics.errors import DegenerateContrastError, DomainError, RegimeWarning
 
 
@@ -284,6 +287,22 @@ def bessel_product_small(kind, n, t, tt):
         )
     q = (t / tt) ** n
     return c_lead * q / tt + c_tt * q * tt + c_t * q * (t / tt) * t
+
+
+@dataclass(frozen=True)
+class PolarizationTensor:
+    """Dipolar response tensor of an inclusion (volume units)."""
+
+    matrix: np.ndarray
+
+    @classmethod
+    def ball(cls, lam, radius):
+        """The ball's tensor m Id at pole-normalized contrast ``lam``."""
+        return cls(ball_polarization_tensor(lam, radius) * np.eye(3, dtype=complex))
+
+    @classmethod
+    def zero(cls):
+        return cls(np.zeros((3, 3), dtype=complex))
 
 
 def forward_amplitude(d, p, omega, med, m_eps, m_mu):

@@ -18,6 +18,18 @@ def run(args, capsys=None):
     return rc
 
 
+def _run_subprocess(tmp_path, command, ini):
+    """Run ``command`` on the config text ``ini`` in a fresh interpreter."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ini)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    return subprocess.run([sys.executable, "-m", "plasmonics.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestSelftest:
     def test_passes(self, tmp_path, capsys):
         rc = run(["selftest", "--out", str(tmp_path)])
@@ -143,6 +155,20 @@ class TestOtherCommands:
         entry = payload["sweep"][0]
         assert set(entry) == {"omega", "gamma_star_re", "gamma_star_im", "f",
                               "valid", "margin", "remainder_scale"}
+
+    def test_mg_far_from_spectrum(self, tmp_path):
+        # gamma = 1e300 puts lambda* about 1e300 from the ball spectrum:
+        # dist^2 overflows, once an untyped OverflowError, and the remainder
+        # scale is 0 with no warning
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[drude]\ngamma = 1e300\n[grid]\ncount = 5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["mg", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        sweep = json.loads((tmp_path / "mg.json").read_text())["sweep"]
+        assert all(e["valid"] and e["remainder_scale"] == 0.0 for e in sweep)
 
     def test_ev_units_conversion(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -331,17 +357,29 @@ class TestExitCodes:
     def test_stderr_is_one_json_document(self, tmp_path):
         # numpy warns on the way to this refusal; pytest would capture the
         # warnings, so the command runs as a subprocess
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[grid]\nomega_min = 1e-158\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        argv = ["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        proc = subprocess.run([sys.executable, "-m", "plasmonics.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _run_subprocess(tmp_path, "spectrum", "[grid]\nomega_min = 1e-158\n")
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"]["type"] == "DomainError"
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("ini, message", [
+        ("[drude]\nmu_c_re = 1e300\n[grid]\nomega_min = 1e-12\ncount = 5\n"
+         "[spectrum]\nmode = series\n", "eps*mu = "),
+        ("[drude]\nmu_c_re = 1e300\n[grid]\nomega_min = 1e-12\ncount = 5\n"
+         "[spectrum]\nmode = dipole\n", "eps*mu = "),
+        ("[geometry]\nradius = 1e300\n[grid]\nomega_min = 1e154\nomega_max = 1e155\n"
+         "count = 5\n", "size parameter |k_m| r = inf"),
+    ], ids=["wavenumber-series", "wavenumber-dipole", "size-parameter"])
+    def test_overflow_refused(self, tmp_path, ini, message):
+        # eps*mu beyond double range, whose square root overflows, and a
+        # size parameter |k_m| r that overflows to inf from finite factors:
+        # once an untyped OverflowError with a traceback (exit 1)
+        proc = _run_subprocess(tmp_path, "spectrum", ini)
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "DomainError"
+        assert message in error["message"]
 
     @pytest.mark.parametrize("rc", [0, 1, 2, 3])
     def test_warnings_shown_unless_refused(self, tmp_path, monkeypatch, rc):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from plasmonics import effective as eff, media, specfun
-from plasmonics.errors import AccuracyError, DomainError, ResonantCompositeError
+from plasmonics.errors import (AccuracyError, DegenerateContrastError, DomainError, PoleError,
+                               ResonantCompositeError)
 
 from _oracles import rotation_to, w_matrix_per_point
 
@@ -177,7 +178,7 @@ class TestAnisoResonance:
 class TestMaxwellGarnett:
     def test_dilute_limit(self):
         et = eff.mg_effective(1.0, 4.0, 1e-9)
-        assert np.max(np.abs(et.gamma_star - np.eye(3))) < 1e-8
+        assert abs(et.gamma_star - 1.0) < 1e-8
 
     @pytest.mark.parametrize("f", [1e-3, 1e-2, 0.1])
     def test_clausius_mossotti_identity(self, f):
@@ -185,8 +186,7 @@ class TestMaxwellGarnett:
         et = eff.mg_effective(eps_m, eps_c, f)
         beta = (eps_c - eps_m) / (eps_c + 2 * eps_m)
         cm = eps_m * (1 + 3 * f * beta / (1 - f * beta))
-        assert abs(et.gamma_star[0, 0] - cm) <= 1e-12
-        assert np.allclose(et.gamma_star, et.gamma_star.T)
+        assert abs(et.gamma_star - cm) <= 1e-12
 
     def test_resonant_composite_error(self):
         # f beta = 1 makes Id - f M / 3 singular: beta = 10 at f = 0.1
@@ -195,11 +195,10 @@ class TestMaxwellGarnett:
 
     def test_plasmonic_effective_medium(self):
         # near resonance with f M = O(1) the mixing term can have a
-        # negative-definite real part
+        # negative real part
         eps_c = -2.05 + 0.01j
         et = eff.mg_effective(1.0, eps_c, 0.1)
-        mix = et.gamma_star / 1.0 - np.eye(3)
-        assert np.all(np.linalg.eigvalsh((mix + mix.conj().T).real / 2) < 0)
+        assert (et.gamma_star - 1.0).real < 0
 
     def test_validity_trip_toward_resonance(self):
         # at f = 0.1 the flag is raised far from resonance and trips as the
@@ -222,6 +221,58 @@ class TestMaxwellGarnett:
             eff.mg_effective(1.0, 4.0, 0.0)
         with pytest.raises(DomainError):
             eff.mg_effective(1.0, 4.0, 1.0)
+
+
+def _lossy_grid(count=200):
+    drude = media.DrudeParams(1.0, 1.0, 0.05)
+    return media.drude_permittivity(drude, np.linspace(0.3, 0.95, count))
+
+
+class TestMaxwellGarnettArray:
+    """One array pass over a frequency grid against the per-point calls."""
+
+    @pytest.mark.parametrize("eps_m, eps_c, f, c", [
+        (1.0, _lossy_grid(), 0.05, 0.1),
+        (2.25, 2.25 * _lossy_grid(), 0.2, 0.3),
+        # lossless, through the composite pole near omega = 0.483 at f = 0.3
+        (1.0, media.drude_permittivity(media.DrudeParams(), np.linspace(0.3, 0.95, 200)),
+         0.3, 0.1),
+    ], ids=["lossy", "host-2.25", "lossless-f0.3"])
+    def test_matches_per_point(self, eps_m, eps_c, f, c):
+        grid = eff.mg_effective(eps_m, eps_c, f, validity_constant=c)
+        assert grid.gamma_star.shape == grid.margin.shape == eps_c.shape
+        # per-point calls on the grid's complex128 elements: near the
+        # lossless composite pole (|1 - f m/3| ~ 3e-4) a Python complex's
+        # last-bit difference in lambda* is amplified about 3000-fold,
+        # beyond 1e-13
+        for k, e in enumerate(eps_c):
+            one = eff.mg_effective(eps_m, e, f, validity_constant=c)
+            assert abs(grid.gamma_star[k] - one.gamma_star) <= 1e-13 * abs(one.gamma_star)
+            assert abs(grid.margin[k] - one.margin) <= 1e-13 * max(1.0, abs(one.margin))
+            assert grid.remainder_scale[k] == pytest.approx(one.remainder_scale, rel=1e-13)
+            assert grid.valid[k] == one.valid
+            assert grid.f == one.f
+
+    @pytest.mark.parametrize("bad, error", [
+        (-2.0 + 0.0j, PoleError),                 # the Frohlich point, lam = 1/6
+        (1.0 + 0.0j, DegenerateContrastError),    # eps_c = eps_m
+        (-7.0 / 3.0 + 0.0j, ResonantCompositeError),  # f m / 3 = 1 at f = 0.1
+    ], ids=["frohlich-pole", "zero-contrast", "composite-pole"])
+    @pytest.mark.parametrize("where", [0, 57, 199])
+    def test_one_bad_point_raises_like_scalar(self, bad, error, where):
+        with pytest.raises(error):
+            eff.mg_effective(1.0, bad, 0.1)
+        eps_c = _lossy_grid()
+        eps_c[where] = bad
+        with pytest.raises(error):
+            eff.mg_effective(1.0, eps_c, 0.1)
+
+    def test_on_the_spectrum_remainder_is_unbounded(self):
+        # eps_inf = 1e300 puts lambda* on the degree-0 point 1/2: dist = 0
+        eps_c = np.array([1e300 + 0j, 4.0 + 0j])
+        et = eff.mg_effective(1.0, eps_c, 0.1)
+        assert et.remainder_scale[0] == math.inf and math.isfinite(et.remainder_scale[1])
+        assert eff.mg_effective(1.0, 1e300 + 0j, 0.1).remainder_scale == math.inf
 
 
 class TestPeriodicRegularPart:

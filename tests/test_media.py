@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasmonics import media
+from plasmonics import cli, media
 from plasmonics.errors import ConfigError, DegenerateContrastError, DomainError
 
 
@@ -147,6 +147,16 @@ class TestContrasts:
         # the sign-normalized contrast hits 1/6 exactly at eps_c = -2 eps_m
         assert abs(media.lambda_star(-2.0, 1.0) - 1.0 / 6.0) < 1e-15
 
+    def test_lambda_star_array(self):
+        eps_c = media.drude_permittivity(media.DrudeParams(1.0, 1.0, 0.05),
+                                         np.linspace(0.1, 0.95, 61))
+        got = media.lambda_star(eps_c, 1.5)
+        np.testing.assert_allclose(got, [media.lambda_star(complex(e), 1.5) for e in eps_c],
+                                   rtol=1e-15, atol=0)
+        assert type(media.lambda_star(complex(eps_c[0]), 1.5)) is complex
+        with pytest.raises(DegenerateContrastError):
+            media.lambda_star(np.array([-2.0 + 0.1j, 1.5 + 0.0j]), 1.5)
+
 
 def _symmetrized(spectrum):
     return list(spectrum) + [-s for s in spectrum]
@@ -167,6 +177,14 @@ class TestSpectralDistance:
     def test_empty(self):
         with pytest.raises(DomainError):
             media.spectral_distance(0.1, [])
+
+    def test_array_matches_scalar(self):
+        spec = _symmetrized(media.ball_np_spectrum(10))
+        lam = np.array([-1.0 / 6.0, 0.2 + 0.1j, 0.03 - 0.4j, 2.0])
+        got = media.spectral_distance(lam, spec)
+        assert got.shape == lam.shape
+        assert got.tolist() == [media.spectral_distance(complex(v), spec) for v in lam]
+        assert type(media.spectral_distance(0.2, spec)) is float
 
     @settings(max_examples=50, deadline=None)
     @given(lr=st.floats(-2, 2), li=st.floats(-1, 1))
@@ -193,43 +211,6 @@ class TestWavenumbers:
 
 
 class TestPresets:
-    def test_round_trip(self, tmp_path):
-        f = tmp_path / "gold.txt"
-        f.write_text(
-            "# demo preset\n"
-            "eps_inf = 9.5\n"
-            "omega_p = 1.0\n"
-            "gamma = 0.07\n"
-            "mu_c_re = 1.0\n"
-            "mu_c_im = 0.0\n"
-            "eps_m = 2.25\n"
-            "mu_m = 1.0\n")
-        preset = media.load_material_preset(f)
-        assert preset.drude.eps_inf == 9.5
-        assert preset.eps_m == 2.25
-        med = preset.medium_at(0.8)
-        assert med.eps_m == 2.25 + 0j
-        assert med.eps_c.imag > 0
-
-    def test_defaults(self, tmp_path):
-        f = tmp_path / "min.txt"
-        f.write_text("gamma = 0.02\n")
-        preset = media.load_material_preset(f)
-        assert preset.drude.omega_p == 1.0
-        assert preset.mu_c == 1.0 + 0j
-
-    def test_bad_key(self, tmp_path):
-        f = tmp_path / "bad.txt"
-        f.write_text("epsilon = 1\n")
-        with pytest.raises(ConfigError):
-            media.load_material_preset(f)
-
-    def test_bad_number(self, tmp_path):
-        f = tmp_path / "bad2.txt"
-        f.write_text("eps_inf = abc\n")
-        with pytest.raises(ConfigError):
-            media.load_material_preset(f)
-
     @pytest.mark.parametrize("field", ["mu_c", "eps_m", "mu_m"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_non_finite_host_refused(self, field, bad):
@@ -240,7 +221,10 @@ class TestPresets:
                                      "eps_m", "mu_m"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_number(self, tmp_path, key, bad):
-        f = tmp_path / "bad3.txt"
-        f.write_text(f"# preset\n{key} = {bad}\n")
-        with pytest.raises(ConfigError, match=r"bad3\.txt:2: "):
-            media.load_material_preset(f)
+        # the run config is the one reader of the material keys: each of them
+        # is refused when non-finite, naming its section and key
+        section = "host" if key in ("eps_m", "mu_m") else "drude"
+        f = tmp_path / "bad3.ini"
+        f.write_text(f"[{section}]\n{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: '{bad}' is not a finite"):
+            cli.RunConfig.load(str(f))

@@ -5,11 +5,10 @@ import pytest
 
 from plasmonics import media, mie, specfun
 from plasmonics.errors import DomainError
-from plasmonics.quasistatic import PolarizationTensor, ball_polarization_tensor
 from plasmonics.specfun import Direction
 
-from _oracles import (classical_mie_coeffs, classical_mie_extinction, forward_amplitude,
-                      riccati_seq_numpy, scattering_coeffs_numpy)
+from _oracles import (PolarizationTensor, classical_mie_coeffs, classical_mie_extinction,
+                      forward_amplitude, riccati_seq_numpy, scattering_coeffs_numpy)
 
 
 def _pw(d=None, p=None):
@@ -263,8 +262,8 @@ class TestAmplitude:
         r = 0.02
         a_mie = mie.plane_wave_amplitude(mie.SphereGeometry(r), med, om, _pw(),
                                          Direction(0.0, 0.0, 1.0))
-        m_eps = ball_polarization_tensor(media.lambda_star(med.eps_c, med.eps_m), r)
-        m_mu = PolarizationTensor(np.zeros((3, 3), dtype=complex), 0.0)
+        m_eps = PolarizationTensor.ball(media.lambda_star(med.eps_c, med.eps_m), r)
+        m_mu = PolarizationTensor.zero()
         a_qs = forward_amplitude(Direction(0.0, 0.0, 1.0), np.array([1.0, 0, 0]),
                                  om, med, m_eps, m_mu)
         rel = np.max(np.abs(a_mie - a_qs)) / np.max(np.abs(a_qs))

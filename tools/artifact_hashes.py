@@ -81,6 +81,8 @@ SHELL = {"run": {"geometry": "shell"}, "geometry": {"radius": 0.3, "rho": 0.5},
          "drude": {"gamma": 0.05}}
 C10_SPHERE = {"geometry": {"radius": 0.3 * math.sqrt(3.0)}, "drude": {"gamma": 0.05},
               "grid": {"omega_min": 0.40, "omega_max": 0.75}}
+MG_FROHLICH = {"grid": {"omega_min": 0.5773502691896258}}
+MG_LOSSLESS_DENSE = {"mg": {"f": 0.3}}
 
 #: (name, command, config, extra argv): magnetic shells exercise shell branches
 #: 1-4 and the gap cross terms, which no workload reaches; the flag-shell jobs
@@ -90,13 +92,17 @@ C10_SPHERE = {"geometry": {"radius": 0.3 * math.sqrt(3.0)}, "drude": {"gamma": 0
 #: leave r13 and r23 at zero, and splits the dipole triplet into three
 #: resonances; ``mg-host`` is the only job with a non-vacuum host and a
 #: non-default validity constant, so it pins ``valid``, ``margin`` and
-#: ``remainder_scale`` away from the defaults.  The workloads run every
+#: ``remainder_scale`` away from the defaults; ``mg-frohlich-pole`` starts
+#: its lossless grid on the Frohlich point 1/sqrt(3), where the ball's
+#: polarizability has its pole, so it is the one job refused with exit code
+#: 3, and ``mg-lossless-f03`` runs the lossless sweep at f = 0.3, whose
+#: composite pole 1 - f m / 3 = 0 lies inside the grid.  The workloads run every
 #: resonance search under ``--order both``; the three single-order jobs run
 #: one order alone, and ``lossy-magnetic-sphere`` gives the four sphere
 #: families a complex permeability.  The workload spectra are nonmagnetic and
 #: stop at n_max 18; ``spectrum-lossy-magnetic-sphere`` scans with mu_c !=
 #: mu_m, and ``spectrum-large-sphere`` (radius 30) runs the series to n_max
-#: 43.  None of them exits nonzero, and none is jittered.
+#: 43.  None of them is jittered.
 EXTRA = (
     ("magnetic-shell", "resonance", MAGNETIC_SHELL, BOTH),
     ("modes-magnetic-shell", "modes", MAGNETIC_SHELL, ()),
@@ -108,6 +114,8 @@ EXTRA = (
     ("modes-lossy-sphere", "modes", LOSSY_SPHERE, ()),
     ("aniso-general", "aniso", GENERAL_ANISO, ()),
     ("mg-host", "mg", MG_HOST, ()),
+    ("mg-frohlich-pole", "mg", MG_FROHLICH, ()),
+    ("mg-lossless-f03", "mg", MG_LOSSLESS_DENSE, ()),
     ("corrected-magnetic-sphere", "resonance", MAGNETIC_SPHERE, ("--order", "corrected")),
     ("corrected-shell", "resonance", SHELL, ("--order", "corrected")),
     ("quasistatic-c10-sphere", "resonance", C10_SPHERE, ()),
