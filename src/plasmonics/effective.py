@@ -11,13 +11,13 @@ weakly singular surface functional
 
 with d = x - y, evaluated by pole-rotated singularity-subtracted quadrature
 (the subtraction constant is the exact identity surf_int (R d, d)/(4 pi
-|d|^3) dsigma = Tr R / 3 on the unit sphere).  The R-independent geometry of
-the inner rule (rotations, |d| and the weighted kernel) is computed for a
-block of outer points in one array pass, with every rounding of the
-per-point rule kept, so w is bit-equal to it.  The harmonics at the rotated
-inner points are still evaluated in one ``scalar_harmonics_grid`` call per
-outer point: one call per block measured no faster, and its temporaries
-grow with the block.
+|d|^3) dsigma = Tr R / 3 on the unit sphere).  The inner rule is one fixed
+rule at the pole, rotated to each outer point x, and rotation invariance
+makes its kernel cheap: |d| does not depend on x, and (R d, d) is a fixed
+quadratic form in the 6 entries of the rotated R.  So the weighted kernel of
+a block of outer points is one matrix product, and each outer point's mode
+sums are one matrix-vector product with its harmonics, which are evaluated
+in one ``scalar_harmonics_grid`` call at its rotated inner points.
 
 The Maxwell-Garnett tensor ``eps_m (Id + f M (Id - f M / 3)^{-1})`` has the
 ball's M = m Id (m the scalar polarizability of the unit-volume ball), so it
@@ -113,18 +113,27 @@ def _frames(pts: np.ndarray) -> np.ndarray:
     return rots
 
 
-#: Outer points whose inner-rule geometry is computed in one array pass.
-_BLOCK = 8
+#: Outer points whose inner-rule kernel is formed in one matrix product.
+_BLOCK = 32
 
 
 def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
     """Multiplet matrix w[jl] = <W_R Y_(n,j), Y_(n,l)> by singularity-subtracted
-    quadrature; j, l run over m = -n..n."""
+    quadrature; j, l run over m = -n..n.
+
+    The inner rule sits at the north pole, at local points l, and is rotated
+    by the frame R_x of each outer point x, so d = x - R_x l = R_x u with
+    u = e_z - l.  Hence |d| = |u| for every x, and (R d, d) = (S_x u, u) with
+    S_x = R_x^T R R_x: the weighted kernel of a block of outer points is the
+    product of the 6 entries of each S_x with 6 fixed rows u_a u_b w_inner /
+    (4 pi |u|^3), off-diagonal rows doubled.
+    """
     trR = float(np.trace(r_matrix))
     # outer (smooth) rule
     pts, wts = specfun.sphere_quadrature(degree)
-    ys_outer = specfun.scalar_harmonics_grid(n, pts)
     modes = [(n, m) for m in range(-n, n + 1)]
+    ys = specfun.scalar_harmonics_grid(n, pts)
+    y_outer = np.stack([ys[nm] for nm in modes], axis=1)
     # inner rule: Gauss-Legendre in the polar angle (regular at the pole
     # after subtraction), uniform azimuth, in a frame with x at the pole
     ngam = 2 * degree + 2
@@ -141,49 +150,20 @@ def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
     ], axis=1)
     w_inner = (np.outer(wg, np.full_like(phi, wphi))).ravel()
 
+    u = np.array([0.0, 0.0, 1.0]) - local
+    ia, ib = np.triu_indices(3)
+    rows = (np.where(ia == ib, 1.0, 2.0)[:, None] * (u[:, ia] * u[:, ib]).T
+            * (w_inner / (4.0 * math.pi * np.linalg.norm(u, axis=1) ** 3)))
     rots = _frames(pts)
-    # buffers for the inner-rule geometry of a block of outer points
-    yy_buf = np.empty((_BLOCK, len(local), 3))
-    d_buf = np.empty_like(yy_buf)
-    wk_buf, den_buf, t_buf = (np.empty((_BLOCK, len(local))) for _ in range(3))
-    w_of_x = np.zeros((len(pts), len(modes)), dtype=complex)
+    s6 = (rots.transpose(0, 2, 1) @ r_matrix @ rots)[:, ia, ib]
+    # W_R f(x) = f(x) Tr R / 3 + sum_k wk (f(y_k) - f(x))
+    w_of_x = y_outer * (trR / 3.0)
     for b0 in range(0, len(pts), _BLOCK):
-        x = pts[b0:b0 + _BLOCK]
-        nb = len(x)
-        yy, d, wk, den, term = yy_buf[:nb], d_buf[:nb], wk_buf[:nb], den_buf[:nb], t_buf[:nb]
-        np.matmul(local, rots[b0:b0 + nb].transpose(0, 2, 1), out=yy)
-        np.subtract(x[:, None, :], yy, out=d)
-        # weighted kernel w_inner (R d, d) / (4 pi |d|^3): the quadratic form
-        # summed term by term in einsum's order, then |d| as np.linalg.norm
-        # computes it, in place
-        wk.fill(0.0)
-        for a in range(3):
-            for b in range(3):
-                np.multiply(d[..., a], r_matrix[a, b], out=term)
-                np.multiply(term, d[..., b], out=term)
-                np.add(wk, term, out=wk)
-        np.multiply(d, d, out=d)
-        np.add.reduce(d, axis=2, out=den)
-        np.sqrt(den, out=den)
-        np.power(den, 3, out=den)
-        np.multiply(4.0 * math.pi, den, out=den)
-        np.divide(wk, den, out=wk)
-        np.multiply(w_inner, wk, out=wk)
-        # one harmonics call per outer point, as in the per-point rule: a
-        # call per block measured no faster, and the tracer's pinned
-        # scalar_harmonics_grid call count stays valid
-        for k in range(nb):
-            i = b0 + k
-            ys_inner = specfun.scalar_harmonics_grid(n, yy[k])
-            for jdx, nm in enumerate(modes):
-                fx = ys_outer[nm][i]
-                w_of_x[i, jdx] = np.sum(wk[k] * (ys_inner[nm] - fx)) + fx * trR / 3.0
-    w = np.zeros((len(modes), len(modes)), dtype=complex)
-    for ldx, nm in enumerate(modes):
-        proj = wts * np.conj(ys_outer[nm])
-        for jdx in range(len(modes)):
-            w[jdx, ldx] = np.sum(proj * w_of_x[:, jdx])
-    return w
+        for i, kern in enumerate(s6[b0:b0 + _BLOCK] @ rows, start=b0):
+            # one harmonics call per outer point, at its rotated inner points
+            ys = specfun.scalar_harmonics_grid(n, local @ rots[i].T)
+            w_of_x[i] += np.stack([ys[nm] for nm in modes]) @ kern - y_outer[i] * kern.sum()
+    return w_of_x.T @ (wts[:, None] * y_outer.conj())
 
 
 def q1_multiplet(aniso: AnisoPermittivity, n: int, degree: int | None = None,

@@ -121,8 +121,15 @@ def drude_permittivity(p: DrudeParams, omega: float | np.ndarray) -> complex | n
     """
     if not all_of(omega > 0):
         raise DomainError("drude_permittivity requires omega > 0")
+    if isinstance(omega, _ndarray):
+        # omega (omega + i gamma) may overflow to inf, where eps tends to
+        # eps_inf; a Python complex overflows to inf with no warning
+        with np.errstate(over="ignore"):
+            den = omega * (omega + 1j * p.gamma_damp)
+    else:
+        den = omega * (omega + 1j * p.gamma_damp)
     try:
-        eps = p.eps_inf - p.omega_p**2 / (omega * (omega + 1j * p.gamma_damp))
+        eps = p.eps_inf - p.omega_p**2 / den
     except ZeroDivisionError:
         # a Python float raises where numpy divides by the underflowed 0 to inf
         eps = complex(math.inf)

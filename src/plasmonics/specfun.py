@@ -196,7 +196,11 @@ def riccati_seq(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """
     z = _check_bessel_args(nmax, z)
     j, h = (seq.tolist() for seq in bessel_jh_seq(nmax, z))
-    jr = [cmath.cos(z)]
+    try:
+        jr = [cmath.cos(z)]
+    except OverflowError as exc:
+        # |Im z| beyond about 710, where j_n and h_n can still be finite
+        raise _out_of_range(z) from exc
     hr = [cmath.exp(1j * z)]
     for n in range(1, nmax + 1):
         jr.append(z * j[n - 1] - n * j[n])

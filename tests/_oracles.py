@@ -27,9 +27,13 @@ The numpy-scalar degree loops (``riccati_seq_numpy``,
 and ``mie.scattering_coeffs`` must match bit for bit: the production loops
 run on Python complex and take their quotients in one array division.
 
-The per-point W_R quadrature below is the reference that
-``effective._w_matrix``'s blocked geometry must match bit for bit, and it
-evaluates the same singularity-subtracted rule one outer point at a time.
+The per-point W_R quadrature (``w_matrix_per_point``) evaluates the same
+singularity-subtracted rule as ``effective._w_matrix`` one outer point at a
+time, rotating the inner points and forming the kernel from them;
+``_w_matrix`` gets the kernel from rotation invariance instead, which rounds
+in another order, so the two agree to a tolerance, not bit for bit.  The
+Wigner-Eckart closed form (``w_matrix_closed_form``) is independent of both
+quadratures.
 """
 
 import cmath
@@ -206,6 +210,34 @@ def w_matrix_per_point(n, r_matrix, degree):
         for jdx in range(len(modes)):
             w[jdx, ldx] = np.sum(proj * w_of_x[:, jdx])
     return w
+
+
+def w_matrix_closed_form(n, r_matrix):
+    """w[jl] = <W_R Y_(n,j), Y_(n,l)> exactly, by the Wigner-Eckart theorem.
+
+    Within the degree-n multiplet x_a x_b acts as a rank-2 tensor operator, so
+    with L_a the spin-n angular-momentum matrices (m = -n..n) the multiplier
+    (R x, x) is
+    M = (Tr R / 3) Id - 2/((2n-1)(2n+3)) [sum_ab R_ab (L_a L_b + L_b L_a)/2
+    - Tr R n(n+1)/3 Id], from <n m| cos^2 theta |n m> = (2n^2 + 2n - 1 -
+    2m^2)/((2n-1)(2n+3)), and w = (Tr R Id - 2 M)/(2n+1).  The package sets
+    Y_(n,-m) = conj(Y_(n,m)) with no (-1)^m, so w is conjugated by D =
+    diag((-1)^m for m > 0, else 1), then transposed, because w[j, l] pairs
+    W_R Y_j with Y_l.
+    """
+    r = np.asarray(r_matrix, dtype=float)
+    m = np.arange(-n, n + 1)
+    raise_m = np.diag(np.sqrt(n * (n + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
+    ell = [(raise_m + raise_m.T) / 2.0, (raise_m - raise_m.T) / 2j, np.diag(m)]
+    tr_r = np.trace(r)
+    ident = np.eye(2 * n + 1)
+    quad = sum(r[a, b] * (ell[a] @ ell[b] + ell[b] @ ell[a]) / 2.0
+               for a in range(3) for b in range(3))
+    mult = tr_r / 3.0 * ident - 2.0 / ((2 * n - 1) * (2 * n + 3)) * (
+        quad - tr_r * n * (n + 1) / 3.0 * ident)
+    w = (tr_r * ident - 2.0 * mult) / (2 * n + 1)
+    d = np.where(m > 0, (-1.0) ** m, 1.0)
+    return (d[:, None] * w * d[None, :]).T
 
 
 def boundary_matrices(n, k, r):

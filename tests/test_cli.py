@@ -170,6 +170,16 @@ class TestOtherCommands:
         sweep = json.loads((tmp_path / "mg.json").read_text())["sweep"]
         assert all(e["valid"] and e["remainder_scale"] == 0.0 for e in sweep)
 
+    def test_mg_omega_product_overflow(self, tmp_path):
+        # at omega = 1e300, omega (omega + i gamma) overflows and eps_c tends
+        # to eps_inf: once a numpy overflow warning on exit 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[drude]\neps_inf = 0.3\n[grid]\nomega_max = 1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["mg", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+
     def test_ev_units_conversion(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
@@ -369,11 +379,14 @@ class TestExitCodes:
          "[spectrum]\nmode = dipole\n", "eps*mu = "),
         ("[geometry]\nradius = 1e300\n[grid]\nomega_min = 1e154\nomega_max = 1e155\n"
          "count = 5\n", "size parameter |k_m| r = inf"),
-    ], ids=["wavenumber-series", "wavenumber-dipole", "size-parameter"])
+        ("[geometry]\nradius = 725\n[drude]\ngamma = 0.0001\n[grid]\nomega_min = 0.001\n"
+         "omega_max = 0.002\ncount = 3\n", "out of double-precision range at z"),
+    ], ids=["wavenumber-series", "wavenumber-dipole", "size-parameter", "riccati-cos"])
     def test_overflow_refused(self, tmp_path, ini, message):
-        # eps*mu beyond double range, whose square root overflows, and a
-        # size parameter |k_m| r that overflows to inf from finite factors:
-        # once an untyped OverflowError with a traceback (exit 1)
+        # eps*mu beyond double range, whose square root overflows, a size
+        # parameter |k_m| r that overflows to inf from finite factors, and an
+        # interior argument with Im z near 722, where cos z overflows: once
+        # an untyped OverflowError with a traceback (exit 1)
         proc = _run_subprocess(tmp_path, "spectrum", ini)
         assert proc.returncode == 3
         assert len(proc.stderr.splitlines()) == 1

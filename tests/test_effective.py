@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from plasmonics import effective as eff, media, specfun
 from plasmonics.errors import (AccuracyError, DegenerateContrastError, DomainError, PoleError,
                                ResonantCompositeError)
 
-from _oracles import rotation_to, w_matrix_per_point
+from _oracles import rotation_to, w_matrix_closed_form, w_matrix_per_point
 
 
 class TestQ1:
@@ -92,17 +93,41 @@ R_CASES = {
 
 
 class TestBlockedQuadrature:
-    """The blocked geometry of ``_w_matrix`` against the per-point rule.
+    """The rotation-invariant kernel of ``_w_matrix`` against the per-point
+    rule and the Wigner-Eckart closed form.
 
-    Both outer rules have 4 mod 8 points, so the last, partial block is
+    Every outer rule here has 4 mod 32 points, so the last, partial block is
     covered too.
     """
 
     @pytest.mark.parametrize("name", sorted(R_CASES))
     @pytest.mark.parametrize("n, degree", [(1, 10), (1, 16), (2, 12), (2, 18), (3, 14)])
     def test_w_matrix_bit_equal(self, n, degree, name):
+        # the kernel comes from rotation invariance, not from the rotated
+        # points, so the sums round in another order: equal to 1e-13 of max|w|
         r = R_CASES[name]
-        assert np.array_equal(eff._w_matrix(n, r, degree), w_matrix_per_point(n, r, degree))
+        want = w_matrix_per_point(n, r, degree)
+        got = eff._w_matrix(n, r, degree)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_w_matrix_closed_form(self, n):
+        for degree in (2 * n + 8, 2 * n + 14):
+            for r in R_CASES.values():
+                want = w_matrix_closed_form(n, r)
+                got = eff._w_matrix(n, r, degree)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_w_matrix_memory(self):
+        # the kernel is formed a block of outer points at a time: all of it
+        # at once would be 10.7 MB at degree 16
+        tracemalloc.start()
+        try:
+            eff._w_matrix(1, R_CASES["random"], 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("degree", [10, 16])
     def test_frames_bit_equal_on_outer_rule(self, degree):
