@@ -141,11 +141,11 @@ class RunConfig:
 
 
 def _write_json(path: Path, payload) -> None:
-    """Write ``payload`` as one line of JSON with sorted keys, by the C
-    encoder; a NaN or an infinity in it is refused with DomainError, and
-    nothing is written."""
+    """Write ``payload`` as one line of JSON with sorted keys and no
+    whitespace, by the C encoder; a NaN or an infinity in it is refused with
+    DomainError, and nothing is written."""
     try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise non_finite_artifact(path.name) from exc
     path.write_text(text + "\n")

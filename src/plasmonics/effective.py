@@ -17,7 +17,9 @@ makes its kernel cheap: |d| does not depend on x, and (R d, d) is a fixed
 quadratic form in the 6 entries of the rotated R.  So the weighted kernel of
 a block of outer points is one matrix product, and each outer point's mode
 sums are one matrix-vector product with its harmonics, which are evaluated
-in one ``scalar_harmonics_grid`` call at its rotated inner points.
+in one ``scalar_harmonics_grid`` call at its rotated inner points: a
+polynomial in z times a power of x + i y per mode, with no trigonometric
+function, so these calls cost little more than their array passes.
 
 The Maxwell-Garnett tensor ``eps_m (Id + f M (Id - f M / 3)^{-1})`` has the
 ball's M = m Id (m the scalar polarizability of the unit-volume ball), so it

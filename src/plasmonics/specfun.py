@@ -18,6 +18,9 @@ primitives.  Conventions:
   Results are cached per (nmax, direction) and returned read-only, because
   the same arrays are handed to every caller; so are the sequences of
   ``bessel_jh_seq``, per (nmax, z).
+* ``scalar_harmonics_grid`` evaluates Y over many unit vectors at once from
+  their Cartesian coordinates, as a polynomial in z times a power of x + i y,
+  with no angles and so no cancellation near the poles.
 """
 
 from __future__ import annotations
@@ -366,13 +369,29 @@ def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int]
 
     Returns a dict keyed by (n, m) for 1 <= n <= nmax, |m| <= n, each value a
     complex array of length N.  Same phase convention as ``harmonics_all``.
+
+    Evaluated from the Cartesian coordinates, with no angles: on the unit
+    sphere sin(theta) exp(i phi) = x + i y, so for m > 0
+
+        Y[n, m] = p~[n](z) (x + i y)^m,   Y[n, -m] = conj(Y[n, m]),
+
+    where p~ = p / sin(theta)^m is the normalized Legendre row of
+    ``_legendre_recurrence`` run from its seed ``norm`` (a polynomial in z),
+    and each power of x + i y is one product with the previous one.  Nothing
+    cancels near the poles, so every Y keeps full relative precision there.
+
+    The points must be unit vectors; they are not normalized here (z is only
+    clamped to [-1, 1]), and off the sphere the result is not Y.
     """
     pts = np.asarray(points, dtype=float)
-    ct = np.clip(pts[:, 2], -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    ct = np.minimum(np.maximum(pts[:, 2], -1.0), 1.0)
+    xy = np.empty(pts.shape[0], dtype=complex)
+    xy.real = pts[:, 0]
+    xy.imag = pts[:, 1]
     out: dict[tuple[int, int], np.ndarray] = {}
+    power = xy
     for mabs in range(0, nmax + 1):
+        # zero rows: the first step (b = 0) still reads the row below the seed
         p = np.zeros((nmax + 1, pts.shape[0]))
         norm, steps = _legendre_recurrence(nmax, mabs)
         if mabs == 0:
@@ -380,15 +399,17 @@ def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int]
             if nmax >= 1:
                 p[1] = math.sqrt(3.0 / (4.0 * math.pi)) * ct
         else:
-            p[mabs] = norm * st**mabs
+            p[mabs] = norm
+            if mabs > 1:
+                power = power * xy
         _recur(p, ct, steps)
         for n in range(max(1, mabs), nmax + 1):
             if mabs == 0:
                 out[(n, 0)] = p[n].astype(complex)
             else:
-                e = np.exp(1j * mabs * phi)
-                out[(n, mabs)] = p[n] * e
-                out[(n, -mabs)] = p[n] * np.conj(e)
+                y = p[n] * power
+                out[(n, mabs)] = y
+                out[(n, -mabs)] = np.conj(y)
     return out
 
 

@@ -2,7 +2,8 @@
 
 The first group deliberately avoids the package's own evaluation paths:
 spherical Bessel/Hankel values come from mpmath's cylindrical functions at
-high precision, the classical Mie extinction follows the textbook
+high precision, scalar spherical harmonics from mpmath's ``spherharm``
+(``mp_scalar_harmonic``), the classical Mie extinction follows the textbook
 Riccati-Bessel recurrences, and the polarization tensor is cross-checked by
 a dense Nystrom discretization of the boundary resolvent.
 
@@ -37,6 +38,7 @@ quadratures.
 """
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,6 +59,25 @@ def mp_spherical_jh(n, z, dps=50):
         j = pref * mp.besselj(n + mp.mpf(1) / 2, z)
         y = pref * mp.bessely(n + mp.mpf(1) / 2, z)
         return complex(j), complex(j + 1j * y)
+
+
+@functools.lru_cache(maxsize=1024)
+def _mp_spherharm(n, mabs, x, y, z, dps):
+    with mp.workdps(dps):
+        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+        theta = mp.atan2(mp.hypot(x, y), z)
+        return (-1) ** mabs * mp.spherharm(n, mabs, theta, mp.atan2(y, x))
+
+
+def mp_scalar_harmonic(n, m, point, dps=40):
+    """Orthonormal Y[n, m] at a unit vector in the package's convention (no
+    Condon-Shortley phase, Y[n, -m] = conj(Y[n, m])), from mpmath's
+    ``spherharm`` with theta = atan2(hypot(x, y), z) taken at ``dps`` digits;
+    the 1024 most recent m >= 0 values are cached, so Y[n, -m] right after
+    Y[n, m] at the same point costs nothing more."""
+    y = _mp_spherharm(n, abs(m), *(float(c) for c in point), dps)
+    with mp.workdps(dps):
+        return complex(mp.conj(y) if m < 0 else y)
 
 
 def _psi(n, z):

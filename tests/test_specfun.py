@@ -10,7 +10,8 @@ from plasmonics import specfun
 from plasmonics.errors import DomainError, GradedOverflowError, RegimeWarning
 from plasmonics.specfun import Direction, mode_row
 
-from _oracles import bessel_product_small, mp_spherical_jh, sphere_quadrature_loop
+from _oracles import (bessel_product_small, mp_scalar_harmonic, mp_spherical_jh,
+                      sphere_quadrature_loop)
 
 
 class TestBesselPair:
@@ -327,6 +328,28 @@ class TestHarmonics:
             for nm in [(1, 0), (2, -1), (3, 3)]:
                 y = specfun.harmonics_all(nm[0], Direction.from_vector(pts[i]))[0][mode_row(*nm)]
                 assert abs(grid[nm][i] - y) < 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_grid_evaluator_near_poles(self, eps):
+        # sin(theta) = eps * sqrt(1.25) would cancel in sqrt(1 - z^2): Y must
+        # keep full relative precision for every m, where Y ~ eps^|m|
+        z = math.sqrt(1.0 - 1.25 * eps * eps)
+        pts = np.array([[eps, 0.5 * eps, z], [eps, 0.5 * eps, -z]])
+        grid = specfun.scalar_harmonics_grid(8, pts)
+        for (n, m), ys in grid.items():
+            for p, y in zip(pts, ys):
+                ref = mp_scalar_harmonic(n, m, p)
+                assert abs(y - ref) <= 1e-14 * abs(ref), (n, m, p)
+
+    def test_grid_evaluator_matches_mpmath(self):
+        rng = np.random.default_rng(23)
+        pts = rng.normal(size=(200, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        grid = specfun.scalar_harmonics_grid(8, pts)
+        assert len(grid) == 80
+        for (n, m), ys in grid.items():
+            for p, y in zip(pts, ys):
+                assert abs(y - mp_scalar_harmonic(n, m, p)) < 1e-14, (n, m, p)
 
     def test_sphere_quadrature_matches_pointwise(self):
         for degree in range(3, 31):
