@@ -284,7 +284,10 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
     Near the origin R(x) = R(0) - |x|^2/6 + O(|x|^4).
     """
     x = np.asarray(x, dtype=float)
-    if np.max(np.abs(x)) >= 0.5:
+    if x.shape != (3,):
+        raise DomainError(f"x must be a 3-vector, got shape {x.shape}")
+    # written so that a NaN coordinate fails the check too
+    if not np.max(np.abs(x)) < 0.5:
         raise DomainError("x must lie in the open unit cell (|x_i| < 1/2)")
     if alpha is None:
         alpha = math.sqrt(math.pi)

@@ -12,15 +12,18 @@ primitives.  Conventions:
   Condon-Shortley phase, and satisfy ``conj(Y[n, m]) == Y[n, -m]``.
 * ``U[n, m]`` is the normalized surface gradient of ``Y[n, m]`` and
   ``V[n, m] = xhat x U[n, m]``; both are tangential by construction.
+* Every harmonic comes from Cartesian coordinates r = (x, y, z), with no
+  angles: Y[n, m] = p~[n](z) (x + i y)^m for m >= 0, a polynomial in r with
+  the Legendre rows p~ of ``_legendre_rows``, so nothing cancels near the
+  poles.  U is the tangential part of that polynomial's gradient g,
+  (g - (r.g) / (r.r) r) / sqrt(n(n+1)), and V = r x U.
 * ``harmonics_all`` packs the modes 1 <= n <= nmax, |m| <= n into rows of
   arrays: mode (n, m) sits in row ``mode_row(n, m) = n*n + n + m - 1``, so
   degree n fills the contiguous rows n*n - 1 .. n*n + 2n - 1 in increasing m.
   Results are cached per (nmax, direction) and returned read-only, because
   the same arrays are handed to every caller; so are the sequences of
   ``bessel_jh_seq``, per (nmax, z).
-* ``scalar_harmonics_grid`` evaluates Y over many unit vectors at once from
-  their Cartesian coordinates, as a polynomial in z times a power of x + i y,
-  with no angles and so no cancellation near the poles.
+* ``scalar_harmonics_grid`` evaluates Y over many unit vectors at once.
 """
 
 from __future__ import annotations
@@ -274,57 +277,34 @@ def _legendre_recurrence(nmax: int, mabs: int):
     return norm, steps
 
 
-def _recur(p, ct, steps) -> None:
-    """Run the recurrence ``steps`` of ``_legendre_recurrence`` upward in
-    place; p rows are floats or arrays over points."""
-    for n, a, b in steps:
-        p[n + 1] = a * ct * p[n] - b * p[n - 1]
+def _legendre_rows(nmax: int, mabs: int, ct, deriv: bool = False):
+    """Normalized Legendre rows p~[n] = p[n] / sin(theta)^mabs for n <= nmax
+    at z = ``ct`` (a numpy float, or an array over points), and with ``deriv``
+    their derivatives dp~/dz (else None); the rows below mabs are zero.
 
-
-def _legendre_pi_tau(nmax: int, mabs: int, ct: float, st: float):
-    """Normalized associated-Legendre triples (p, pi, tau) for m = mabs >= 0.
-
-    p[n] is normalized so that Y = p * exp(i m phi) is orthonormal;
-    pi = m p / sin(theta) and tau = dp/dtheta are evaluated through
-    recurrences that stay finite at the poles.
+    Each row is a polynomial in z: the recurrence of ``_legendre_recurrence``
+    run from its seed ``norm`` at n = mabs, or from the rows n = 0, 1 for
+    m = 0.  Differentiating every step gives the derivative rows,
+    ``dp[n + 1] = a (p[n] + z dp[n]) - b dp[n - 1]``, from dp = 0 at the seed.
     """
-    p = np.zeros(nmax + 1)
-    pi = np.zeros(nmax + 1)
-    tau = np.zeros(nmax + 1)
+    # zero rows: the first step (b = 0) still reads the row below the seed
+    p = np.zeros((nmax + 1,) + ct.shape)
+    dp = np.zeros_like(p) if deriv else None
     norm, steps = _legendre_recurrence(nmax, mabs)
     if mabs == 0:
         p[0] = math.sqrt(1.0 / (4.0 * math.pi))
-        dp = np.zeros(nmax + 1)  # dp/d(cos theta)
         if nmax >= 1:
             p[1] = math.sqrt(3.0 / (4.0 * math.pi)) * ct
-            dp[1] = math.sqrt(3.0 / (4.0 * math.pi))
-        _recur(p, ct, steps)
+            if deriv:
+                dp[1] = math.sqrt(3.0 / (4.0 * math.pi))
+    else:
+        p[mabs] = norm
+    for n, a, b in steps:
+        p[n + 1] = a * ct * p[n] - b * p[n - 1]
+    if deriv:
         for n, a, b in steps:
             dp[n + 1] = a * (p[n] + ct * dp[n]) - b * dp[n - 1]
-        return p, pi, -st * dp
-    # seed at n = m
-    stm1 = st ** (mabs - 1)
-    p[mabs] = norm * stm1 * st
-    pi[mabs] = mabs * norm * stm1
-    tau[mabs] = mabs * ct * norm * stm1
-    _recur(p, ct, steps)
-    _recur(pi, ct, steps)
-    for n in range(mabs + 1, nmax + 1):
-        c = (n + mabs) * math.sqrt((2 * n + 1) * (n - mabs) / ((2 * n - 1.0) * (n + mabs)))
-        tau[n] = (n * ct * pi[n] - c * pi[n - 1]) / mabs
-    return p, pi, tau
-
-
-def _angles(xhat: np.ndarray) -> tuple[float, float, float, np.ndarray, np.ndarray]:
-    ct = float(np.clip(xhat[2], -1.0, 1.0))
-    # hypot(x, y) keeps full relative precision near the poles, where
-    # sqrt(1 - ct^2) cancels
-    st = math.hypot(xhat[0], xhat[1])
-    phi = math.atan2(xhat[1], xhat[0])
-    cp, sp = math.cos(phi), math.sin(phi)
-    theta_hat = np.array([ct * cp, ct * sp, -st])
-    phi_hat = np.array([-sp, cp, 0.0])
-    return ct, st, phi, theta_hat, phi_hat
+    return p, dp
 
 
 def mode_row(n: int, m: int) -> int:
@@ -341,27 +321,44 @@ def harmonics_all(nmax: int, xhat: Direction):
     with mode (n, m) in row ``mode_row(n, m)``.  Results are cached for the
     32 most recent (nmax, direction) pairs; a spectrum scan asks for the same
     incident and forward directions at every frequency.
+
+    Evaluated from the Cartesian coordinates r = (x, y, z) of the direction,
+    with no angles, from the Legendre rows that ``scalar_harmonics_grid``
+    uses too: for m >= 0, Y[n, m] = p~[n](z) w^m with w = x + i y, a
+    polynomial in r.  The surface gradient of Y is that polynomial's
+    gradient
+
+        g = (m p~ w^(m-1), i m p~ w^(m-1), dp~/dz w^m)
+
+    less its component along r, so
+
+        U[n, m] = (g - (r.g) / (r.r) r) / sqrt(n(n+1)),   V[n, m] = r x U[n, m],
+
+    and the rows of -m are the conjugates of those of m, because r is real.
+    Dividing by r.r, not taking r.r = 1, keeps U and V tangent for every
+    vector ``Direction`` accepts (|r| within 1e-12 of 1).
     """
-    x = xhat.as_array()
-    ct, st, phi, th, ph = _angles(x)
+    r = xhat.as_array()
+    w = complex(xhat.x, xhat.y)
     size = nmax * (nmax + 2)
     Y = np.empty(size, dtype=complex)
-    U = np.empty((size, 3), dtype=complex)
-    V = np.empty((size, 3), dtype=complex)
-    for mabs in range(0, nmax + 1):
-        p, pi, tau = _legendre_pi_tau(nmax, mabs, ct, st)
-        for n in range(max(1, mabs), nmax + 1):
-            scale = 1.0 / math.sqrt(n * (n + 1.0))
-            for sign in ((1,) if mabs == 0 else (1, -1)):
-                m = sign * mabs
-                eimp = cmath.exp(1j * m * phi)
-                # pi(m) = sign * pi(|m|), tau(m) = tau(|m|)
-                pim = sign * pi[n]
-                row = mode_row(n, m)
-                Y[row] = p[n] * eimp
-                U[row] = scale * eimp * (tau[n] * th + 1j * pim * ph)
-                V[row] = scale * eimp * (tau[n] * ph - 1j * pim * th)
-    return _read_only(Y, U, V)
+    grad = np.empty((size, 3), dtype=complex)  # g / sqrt(n(n+1))
+    w_prev, w_m = 0j, 1 + 0j  # w^(m-1) (0 for m = 0) and w^m
+    for mabs in range(nmax + 1):
+        p, dp = _legendre_rows(nmax, mabs, np.float64(xhat.z), deriv=True)
+        n = np.arange(max(1, mabs), nmax + 1)
+        rows = mode_row(n, mabs)
+        scale = 1.0 / np.sqrt(n * (n + 1.0))
+        Y[rows] = p[n] * w_m
+        grad[rows, 0] = scale * mabs * p[n] * w_prev
+        grad[rows, 1] = 1j * grad[rows, 0]
+        grad[rows, 2] = scale * dp[n] * w_m
+        if mabs > 0:
+            Y[mode_row(n, -mabs)] = np.conj(Y[rows])
+            grad[mode_row(n, -mabs)] = np.conj(grad[rows])
+        w_prev, w_m = w_m, w_m * w
+    U = grad - np.outer(grad @ r / (r @ r), r)
+    return _read_only(Y, U, np.cross(r, U))
 
 
 def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -376,9 +373,9 @@ def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int]
         Y[n, m] = p~[n](z) (x + i y)^m,   Y[n, -m] = conj(Y[n, m]),
 
     where p~ = p / sin(theta)^m is the normalized Legendre row of
-    ``_legendre_recurrence`` run from its seed ``norm`` (a polynomial in z),
-    and each power of x + i y is one product with the previous one.  Nothing
-    cancels near the poles, so every Y keeps full relative precision there.
+    ``_legendre_rows`` (a polynomial in z), and each power of x + i y is one
+    product with the previous one.  Nothing cancels near the poles, so every
+    Y keeps full relative precision there.
 
     The points must be unit vectors; they are not normalized here (z is only
     clamped to [-1, 1]), and off the sphere the result is not Y.
@@ -391,18 +388,9 @@ def scalar_harmonics_grid(nmax: int, points: np.ndarray) -> dict[tuple[int, int]
     out: dict[tuple[int, int], np.ndarray] = {}
     power = xy
     for mabs in range(0, nmax + 1):
-        # zero rows: the first step (b = 0) still reads the row below the seed
-        p = np.zeros((nmax + 1, pts.shape[0]))
-        norm, steps = _legendre_recurrence(nmax, mabs)
-        if mabs == 0:
-            p[0] = math.sqrt(1.0 / (4.0 * math.pi))
-            if nmax >= 1:
-                p[1] = math.sqrt(3.0 / (4.0 * math.pi)) * ct
-        else:
-            p[mabs] = norm
-            if mabs > 1:
-                power = power * xy
-        _recur(p, ct, steps)
+        p, _ = _legendre_rows(nmax, mabs, ct)
+        if mabs > 1:
+            power = power * xy
         for n in range(max(1, mabs), nmax + 1):
             if mabs == 0:
                 out[(n, 0)] = p[n].astype(complex)

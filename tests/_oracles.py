@@ -3,9 +3,11 @@
 The first group deliberately avoids the package's own evaluation paths:
 spherical Bessel/Hankel values come from mpmath's cylindrical functions at
 high precision, scalar spherical harmonics from mpmath's ``spherharm``
-(``mp_scalar_harmonic``), the classical Mie extinction follows the textbook
-Riccati-Bessel recurrences, and the polarization tensor is cross-checked by
-a dense Nystrom discretization of the boundary resolvent.
+(``mp_scalar_harmonic``) and the vector harmonics U, V from its angular
+derivatives by ``mp.diff`` (``mp_vector_harmonics``), the classical Mie
+extinction follows the textbook Riccati-Bessel recurrences, and the
+polarization tensor is cross-checked by a dense Nystrom discretization of
+the boundary resolvent.
 
 The second group are references built on the package's primitives, which
 no command needs but the expansions are checked against:
@@ -61,12 +63,18 @@ def mp_spherical_jh(n, z, dps=50):
         return complex(j), complex(j + 1j * y)
 
 
+def _mp_angles(x, y, z):
+    return mp.atan2(mp.hypot(x, y), z), mp.atan2(y, x)
+
+
+def _mp_y(n, mabs, theta, phi):
+    return (-1) ** mabs * mp.spherharm(n, mabs, theta, phi)
+
+
 @functools.lru_cache(maxsize=1024)
 def _mp_spherharm(n, mabs, x, y, z, dps):
     with mp.workdps(dps):
-        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
-        theta = mp.atan2(mp.hypot(x, y), z)
-        return (-1) ** mabs * mp.spherharm(n, mabs, theta, mp.atan2(y, x))
+        return _mp_y(n, mabs, *_mp_angles(mp.mpf(x), mp.mpf(y), mp.mpf(z)))
 
 
 def mp_scalar_harmonic(n, m, point, dps=40):
@@ -78,6 +86,33 @@ def mp_scalar_harmonic(n, m, point, dps=40):
     y = _mp_spherharm(n, abs(m), *(float(c) for c in point), dps)
     with mp.workdps(dps):
         return complex(mp.conj(y) if m < 0 else y)
+
+
+@functools.lru_cache(maxsize=1024)
+def _mp_vector_harmonics(n, mabs, x, y, z, dps):
+    with mp.workdps(dps):
+        theta, phi = _mp_angles(mp.mpf(x), mp.mpf(y), mp.mpf(z))
+        d_theta = mp.diff(lambda t: _mp_y(n, mabs, t, phi), theta)
+        d_phi = mp.diff(lambda f: _mp_y(n, mabs, theta, f), phi)
+        ct, st, cp, sp = mp.cos(theta), mp.sin(theta), mp.cos(phi), mp.sin(phi)
+        theta_hat, phi_hat = (ct * cp, ct * sp, -st), (-sp, cp, 0)
+        scale = 1 / mp.sqrt(n * (n + 1))
+        u = [scale * (d_theta * t + d_phi / st * f) for t, f in zip(theta_hat, phi_hat)]
+        r = (st * cp, st * sp, ct)
+        v = [r[1] * u[2] - r[2] * u[1], r[2] * u[0] - r[0] * u[2], r[0] * u[1] - r[1] * u[0]]
+        return u, v
+
+
+def mp_vector_harmonics(n, m, point, dps=40):
+    """(U[n, m], V[n, m]) at a unit vector in the package's convention, as
+    complex 3-vectors: U = (dY/dtheta theta_hat + dY/dphi / sin(theta)
+    phi_hat) / sqrt(n(n+1)) and V = xhat x U, with both derivatives of the
+    ``spherharm`` value of ``mp_scalar_harmonic`` taken by ``mp.diff`` at
+    ``dps`` digits, and conjugated for m < 0; cached for m >= 0 like it."""
+    u, v = _mp_vector_harmonics(n, abs(m), *(float(c) for c in point), dps)
+    with mp.workdps(dps):
+        return tuple(np.array([complex(mp.conj(c) if m < 0 else c) for c in vec])
+                     for vec in (u, v))
 
 
 def _psi(n, z):

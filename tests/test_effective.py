@@ -344,6 +344,12 @@ class TestPeriodicRegularPart:
         with pytest.raises(DomainError):
             eff.periodic_regular_part([0.6, 0.0, 0.0])
 
+    @pytest.mark.parametrize("x", [[math.nan, 0.0, 0.0], [0.1, math.inf, 0.0], [0.1, 0.0],
+                                   [0.1, 0.0, 0.0, 0.0], 0.1, [[0.1, 0.0, 0.0]]])
+    def test_malformed_point(self, x):
+        with pytest.raises(DomainError):
+            eff.periodic_regular_part(x)
+
     def test_non_convergent_parameters(self):
         with pytest.raises(AccuracyError):
             eff.periodic_regular_part([0.1, 0.0, 0.0], alpha=25.0, m_max=1)

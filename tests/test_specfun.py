@@ -11,7 +11,7 @@ from plasmonics.errors import DomainError, GradedOverflowError, RegimeWarning
 from plasmonics.specfun import Direction, mode_row
 
 from _oracles import (bessel_product_small, mp_scalar_harmonic, mp_spherical_jh,
-                      sphere_quadrature_loop)
+                      mp_vector_harmonics, sphere_quadrature_loop)
 
 
 class TestBesselPair:
@@ -237,7 +237,7 @@ class TestHarmonics:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6),
            vx=st.floats(-1, 1), vy=st.floats(-1, 1), vz=st.floats(-1, 1))
-    @example(n=2, vx=0.0, vy=5.96e-8, vz=0.75)  # near the pole sqrt(1 - ct^2) cancels
+    @example(n=2, vx=0.0, vy=5.96e-8, vz=0.75)  # near the pole, where x + i y is tiny
     def test_tangency(self, n, vx, vy, vz):
         v = np.array([vx, vy, vz])
         if np.linalg.norm(v) < 1e-3:
@@ -248,6 +248,33 @@ class TestHarmonics:
         x = d.as_array()
         assert abs(np.dot(u, x)) < 1e-13
         assert abs(np.dot(w, x)) < 1e-13
+
+    @pytest.mark.parametrize("scale", [1.0 + 9e-13, 1.0 - 9e-13])
+    def test_tangency_off_unit(self, scale):
+        # Direction accepts |x| within 1e-12 of 1; projecting out (x.g) x
+        # instead of (x.g) / (x.x) x would leave a radial part of about 1e-12
+        rng = np.random.default_rng(24)
+        for v in rng.normal(size=(8, 3)):
+            d = Direction(*(scale * v / np.linalg.norm(v)))
+            x = d.as_array()
+            _, U, V = specfun.harmonics_all(6, d)
+            assert np.max(np.abs(U @ x)) < 1e-13
+            assert np.max(np.abs(V @ x)) < 1e-13
+
+    def test_vector_harmonics_match_mpmath(self):
+        rng = np.random.default_rng(24)
+        pts = rng.normal(size=(12, 3))
+        pts = list(pts / np.linalg.norm(pts, axis=1)[:, None])
+        for eps in (1e-3, 1e-6, 1e-9):
+            z = math.sqrt(1.0 - 1.25 * eps * eps)
+            pts += [np.array([eps, 0.5 * eps, z]), np.array([eps, 0.5 * eps, -z])]
+        for p in pts:
+            _, U, V = specfun.harmonics_all(4, Direction(*p))
+            for n in range(1, 5):
+                for m in range(-n, n + 1):
+                    u, v = mp_vector_harmonics(n, m, p)
+                    assert np.max(np.abs(U[mode_row(n, m)] - u)) < 1e-14, (n, m, p)
+                    assert np.max(np.abs(V[mode_row(n, m)] - v)) < 1e-14, (n, m, p)
 
     def test_conjugation_convention(self):
         # conj(Y[n, m]) == Y[n, -m], and likewise for U
