@@ -220,8 +220,8 @@ def cmd_mg(cfg: RunConfig, out: Path) -> int:
     # gamma* Id written out as a 3x3 tensor
     entries = [{
         "omega": om,
-        "gamma_star_re": [[g.real if i == j else 0.0 for j in range(3)] for i in range(3)],
-        "gamma_star_im": [[g.imag if i == j else 0.0 for j in range(3)] for i in range(3)],
+        "gamma_star_re": [[g.real, 0.0, 0.0], [0.0, g.real, 0.0], [0.0, 0.0, g.real]],
+        "gamma_star_im": [[g.imag, 0.0, 0.0], [0.0, g.imag, 0.0], [0.0, 0.0, g.imag]],
         "f": et.f,
         "valid": valid,
         "margin": margin,

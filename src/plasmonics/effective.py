@@ -14,12 +14,14 @@ with d = x - y, evaluated by pole-rotated singularity-subtracted quadrature
 |d|^3) dsigma = Tr R / 3 on the unit sphere).  The inner rule is one fixed
 rule at the pole, rotated to each outer point x, and rotation invariance
 makes its kernel cheap: |d| does not depend on x, and (R d, d) is a fixed
-quadratic form in the 6 entries of the rotated R.  So the weighted kernel of
-a block of outer points is one matrix product, and each outer point's mode
-sums are one matrix-vector product with its harmonics, which are evaluated
-in one ``scalar_harmonics_grid`` call at its rotated inner points: a
-polynomial in z times a power of x + i y per mode, with no trigonometric
-function, so these calls cost little more than their array passes.
+quadratic form in the 6 entries of the rotated R.  So for a block of outer
+points one matrix product gives the weighted kernels and one more rotates
+the inner rule, the kernel sums of all outer points are one matrix-vector
+product, and each outer point's mode sums are one dot per mode with its
+harmonics, which are evaluated in one ``scalar_harmonics_grid`` call at its
+rotated inner points: a polynomial in z times a power of x + i y per mode,
+with no trigonometric function, so these calls cost little more than their
+array passes.
 
 The Maxwell-Garnett tensor ``eps_m (Id + f M (Id - f M / 3)^{-1})`` has the
 ball's M = m Id (m the scalar polarizability of the unit-volume ball), so it
@@ -115,8 +117,9 @@ def _frames(pts: np.ndarray) -> np.ndarray:
     return rots
 
 
-#: Outer points whose inner-rule kernel is formed in one matrix product.
-_BLOCK = 32
+#: Outer points whose inner-rule kernels and rotated inner points are formed
+#: in one matrix product each; at 8 they take 0.3 MB at degree 16.
+_BLOCK = 8
 
 
 def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
@@ -128,7 +131,11 @@ def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
     u = e_z - l.  Hence |d| = |u| for every x, and (R d, d) = (S_x u, u) with
     S_x = R_x^T R R_x: the weighted kernel of a block of outer points is the
     product of the 6 entries of each S_x with 6 fixed rows u_a u_b w_inner /
-    (4 pi |u|^3), off-diagonal rows doubled.
+    (4 pi |u|^3), off-diagonal rows doubled, and the kernel sum of every x,
+    which multiplies the subtracted f(x), is S_x times the row sums.  The
+    rotated inner points of a block are one product of its stacked frames
+    with the local points, and each outer point leaves only its harmonics
+    call and one dot per mode with its real kernel.
     """
     trR = float(np.trace(r_matrix))
     # outer (smooth) rule
@@ -158,13 +165,17 @@ def _w_matrix(n: int, r_matrix: np.ndarray, degree: int) -> np.ndarray:
             * (w_inner / (4.0 * math.pi * np.linalg.norm(u, axis=1) ** 3)))
     rots = _frames(pts)
     s6 = (rots.transpose(0, 2, 1) @ r_matrix @ rots)[:, ia, ib]
-    # W_R f(x) = f(x) Tr R / 3 + sum_k wk (f(y_k) - f(x))
-    w_of_x = y_outer * (trR / 3.0)
+    # W_R f(x) = f(x) (Tr R / 3 - sum_k wk) + sum_k wk f(y_k), where
+    # sum_k wk = (s6 @ rows.sum(axis=1))[x] for every x at once
+    w_of_x = y_outer * (trR / 3.0 - s6 @ rows.sum(axis=1))[:, None]
     for b0 in range(0, len(pts), _BLOCK):
-        for i, kern in enumerate(s6[b0:b0 + _BLOCK] @ rows, start=b0):
+        block = slice(b0, b0 + _BLOCK)
+        # inner[b]: the x, y, z rows of outer point b's rotated inner points
+        inner = (rots[block].reshape(-1, 3) @ local.T).reshape(-1, 3, len(local))
+        for i, (y_in, kern) in enumerate(zip(inner, s6[block] @ rows), start=b0):
             # one harmonics call per outer point, at its rotated inner points
-            ys = specfun.scalar_harmonics_grid(n, local @ rots[i].T)
-            w_of_x[i] += np.stack([ys[nm] for nm in modes]) @ kern - y_outer[i] * kern.sum()
+            ys = specfun.scalar_harmonics_grid(n, y_in.T)
+            w_of_x[i] += [ys[nm] @ kern for nm in modes]
     return w_of_x.T @ (wts[:, None] * y_outer.conj())
 
 
@@ -281,7 +292,9 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
 
     Ewald-split evaluation; with ``certify`` the truncation radii are grown
     by 2 and the two values must agree to 1e-10 (AccuracyError otherwise).
-    Near the origin R(x) = R(0) - |x|^2/6 + O(|x|^4).
+    Near the origin R(x) = R(0) - |x|^2/6 + O(|x|^4).  The Ewald parameter
+    ``alpha`` must be positive and finite, and the truncation radius
+    ``m_max`` an int of at least 1 (DomainError otherwise).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
@@ -291,6 +304,12 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
         raise DomainError("x must lie in the open unit cell (|x_i| < 1/2)")
     if alpha is None:
         alpha = math.sqrt(math.pi)
+    # written so that a NaN alpha fails the check too
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
+    # a float m_max would build a shifted lattice and certify a wrong value
+    if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
+        raise DomainError(f"m_max must be an int of at least 1, got {m_max!r}")
 
     def evaluate(mm: int) -> float:
         rng = np.arange(-mm, mm + 1)
@@ -317,7 +336,7 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
     val = evaluate(m_max)
     if certify:
         val2 = evaluate(m_max + 2)
-        if abs(val - val2) > 1e-10:
+        if not abs(val - val2) <= 1e-10:
             raise AccuracyError(
                 f"Ewald sums not converged: {val!r} vs {val2!r} at m_max={m_max}")
         val = val2

@@ -33,8 +33,10 @@ run on Python complex and take their quotients in one array division.
 The per-point W_R quadrature (``w_matrix_per_point``) evaluates the same
 singularity-subtracted rule as ``effective._w_matrix`` one outer point at a
 time, rotating the inner points and forming the kernel from them;
-``_w_matrix`` gets the kernel from rotation invariance instead, which rounds
-in another order, so the two agree to a tolerance, not bit for bit.  The
+``_w_matrix`` gets the kernel from rotation invariance instead, rotates a
+block of outer points' inner rules in one product and subtracts f(x) times
+the kernel sum once, which all round in another order, so the two agree to a
+tolerance, not bit for bit.  The
 Wigner-Eckart closed form (``w_matrix_closed_form``) is independent of both
 quadratures.
 """

@@ -96,7 +96,7 @@ class TestBlockedQuadrature:
     """The rotation-invariant kernel of ``_w_matrix`` against the per-point
     rule and the Wigner-Eckart closed form.
 
-    Every outer rule here has 4 mod 32 points, so the last, partial block is
+    Every outer rule here has 4 mod 8 points, so the last, partial block is
     covered too.
     """
 
@@ -120,14 +120,32 @@ class TestBlockedQuadrature:
 
     def test_w_matrix_memory(self):
         # the kernel is formed a block of outer points at a time: all of it
-        # at once would be 10.7 MB at degree 16
+        # at once would be 10.7 MB at degree 16.  The rules import
+        # numpy.polynomial on first use (0.7 MB), so that is done beforehand
+        np.polynomial.legendre.leggauss(2)
         tracemalloc.start()
         try:
             eff._w_matrix(1, R_CASES["random"], 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        # about 1.06 MB; a 32-point block reads 2.8 MB
+        assert peak < 1.5e6
+
+    def test_harmonics_calls_pinned(self, monkeypatch):
+        # the benchmark's self-test pins these counts for the default aniso:
+        # one call per outer point plus one per rule, at degrees 10 and 16
+        calls = []
+        grid = specfun.scalar_harmonics_grid
+
+        def counted(nmax, points):
+            calls.append(len(points))
+            return grid(nmax, points)
+
+        monkeypatch.setattr(specfun, "scalar_harmonics_grid", counted)
+        eff.q1_multiplet(eff.AnisoPermittivity(1.0, 0.05, np.eye(3)), 1)
+        assert len(calls) == 1642
+        assert sum(calls) == 484 * 485 + 1156 * 1157 == 1572232
 
     @pytest.mark.parametrize("degree", [10, 16])
     def test_frames_bit_equal_on_outer_rule(self, degree):
@@ -349,6 +367,20 @@ class TestPeriodicRegularPart:
     def test_malformed_point(self, x):
         with pytest.raises(DomainError):
             eff.periodic_regular_part(x)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": 0.0}, {"alpha": -1.0},
+        {"m_max": 2.5}, {"m_max": 3.0}, {"m_max": 0}, {"m_max": -1}, {"m_max": True},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_malformed_parameters(self, kwargs):
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            eff.periodic_regular_part([0.1, 0.0, 0.0], **kwargs)
+
+    def test_overflowing_sums_not_certified(self):
+        # at this alpha the constant 1/(4 alpha^2) overflows: inf against inf
+        # must not pass the certification
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError):
+            eff.periodic_regular_part([0.1, 0.0, 0.0], alpha=1e-160)
 
     def test_non_convergent_parameters(self):
         with pytest.raises(AccuracyError):
