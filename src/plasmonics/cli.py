@@ -238,8 +238,8 @@ def cmd_aniso(cfg: RunConfig, out: Path) -> int:
                                     cfg.aniso_delta,
                                     omega_range=(cfg.omega_min, cfg.omega_max))
     _write_json(out / "aniso.json", {"resonances": [
-        {"omega_star": r["omega_star"], "found": r["found"],
-         "path_shift": r["path_shift"], "multiplicity": r["multiplicity"]}
+        {"omega_star": r.report.omega_star, "found": r.report.found,
+         "path_shift": r.path_shift, "multiplicity": r.multiplicity}
         for r in res]})
     return 0
 

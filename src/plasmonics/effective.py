@@ -21,7 +21,9 @@ product, and each outer point's mode sums are one dot per mode with its
 harmonics, which are evaluated in one ``scalar_harmonics_grid`` call at its
 rotated inner points: a polynomial in z times a power of x + i y per mode,
 with no trigonometric function, so these calls cost little more than their
-array passes.
+array passes.  Each eigenvalue path of the multiplet is then one branch of
+the sphere's resonance search, ``sphere_modes.resonance_reports``, so an
+anisotropic resonance is found and reported like a sphere's or a shell's.
 
 The Maxwell-Garnett tensor ``eps_m (Id + f M (Id - f M / 3)^{-1})`` has the
 ball's M = m Id (m the scalar polarizability of the unit-volume ball), so it
@@ -34,15 +36,16 @@ resonance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import media as _media
 from . import specfun
+from . import sphere_modes as _sphere
 from .errors import AccuracyError, DomainError, ResonantCompositeError
 from .quasistatic import ball_polarization_tensor
-from .sphere_modes import minimize_modulus
 
 #: Ball Neumann-Poincare spectrum that the Maxwell-Garnett validity margin is
 #: measured against: degrees 0..64 and the accumulation point 0.
@@ -90,6 +93,16 @@ class EffectiveTensor:
     remainder_scale: float | np.ndarray
     valid: bool | np.ndarray
     margin: float | np.ndarray
+
+
+@dataclass(frozen=True)
+class PathResonance:
+    """A resonance of ``aniso_resonance``: the report and first-order shift
+    of the lowest eigenvalue path it stands for, and how many paths merged."""
+
+    report: _sphere.ResonanceReport
+    path_shift: float
+    multiplicity: int
 
 
 def _frames(pts: np.ndarray) -> np.ndarray:
@@ -206,15 +219,17 @@ def q1_multiplet(aniso: AnisoPermittivity, n: int, degree: int | None = None,
 
 def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarray,
                     delta: float, omega_range: tuple[float, float] = (0.05, 0.99),
-                    n: int = 1) -> list[dict]:
+                    n: int = 1) -> list[PathResonance]:
     """Quasi-static resonances of a weakly anisotropic Drude ball.
 
-    Minimizes ``|tau_n(omega) + delta * tau_(k,1)(omega)|`` over omega for
-    each eigenvalue path k of the degree-n multiplet, with the leading
-    eigenvalue ``tau_n = (eps_m + eps_c)/2 + (eps_m - eps_c) lambda_n``;
-    paths whose minimizers coincide within ``_MERGE_TOL`` are reported once
-    (the multiplet splits into as many resonances as R has distinct
-    eigenvalues).
+    Each eigenvalue pv_k of the degree-n multiplet P / eps_c is one ``"eps+"``
+    branch ``tau_k = (eps_m + eps_c)/2 + (eps_m - eps_c) lambda_n + delta
+    eps_c pv_k`` of the sphere's ``resonance_reports`` at the quasistatic
+    order.  Paths whose minimizers coincide within ``_MERGE_TOL`` are
+    reported once, by the lowest (the multiplet splits into as many
+    resonances as R has distinct eigenvalues); unfound paths come last.  At
+    n = 1 this is exact: pv_k = r_k / 3 for the eigenvalues r_k of R, and
+    tau_k vanishes where ``eps_c (1 + delta r_k) = -2 eps_m``.
     """
     if not delta <= 0.2:
         raise DomainError("first-order anisotropic expansion advised only for delta <= 0.2")
@@ -223,28 +238,25 @@ def aniso_resonance(drude: _media.DrudeParams, eps_m: float, r_matrix: np.ndarra
     probe = AnisoPermittivity(eps_c=1.0, delta=delta, r_matrix=np.asarray(r_matrix, dtype=float))
     geo = q1_multiplet(probe, n)
     path_vals = np.linalg.eigvalsh((geo + geo.conj().T) / 2.0)
-    results = []
-    for pv in path_vals:
+
+    def path_branch(pv: float):
         def tau(w: float | np.ndarray) -> complex | np.ndarray:
             eps_c = _media.drude_permittivity(drude, w)
             tau0 = (eps_m + eps_c) / 2.0 + (eps_m - eps_c) * lam_n
             return tau0 + delta * eps_c * pv
+        return "eps+", n, tau, tau
 
-        om = minimize_modulus(tau, omega_range)
-        if om is None:
-            results.append({"omega_star": None, "path_shift": float(pv), "found": False})
-            continue
-        results.append({"omega_star": om, "path_shift": float(pv), "found": True,
-                        "tau_at_min": tau(om)})
-    merged: list[dict] = []
-    for res in sorted(results, key=lambda r: (r["omega_star"] is None, r["omega_star"] or 0.0)):
-        if res["found"] and merged and merged[-1]["found"] \
-                and abs(merged[-1]["omega_star"] - res["omega_star"]) <= _MERGE_TOL:
-            merged[-1]["multiplicity"] += 1
-            continue
-        res = dict(res)
-        res["multiplicity"] = 1
-        merged.append(res)
+    reports = _sphere.resonance_reports([path_branch(pv) for pv in path_vals], ("quasistatic",),
+                                        omega_range, 200)
+    merged: list[PathResonance] = []
+    for rep, pv in sorted(zip(reports, path_vals),
+                          key=lambda rp: (not rp[0].found, rp[0].omega_star or 0.0)):
+        prev = merged[-1] if merged else None
+        if (rep.found and prev and prev.report.found
+                and abs(prev.report.omega_star - rep.omega_star) <= _MERGE_TOL):
+            merged[-1] = replace(prev, multiplicity=prev.multiplicity + 1)
+        else:
+            merged.append(PathResonance(report=rep, path_shift=float(pv), multiplicity=1))
     return merged
 
 
@@ -294,7 +306,9 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
     by 2 and the two values must agree to 1e-10 (AccuracyError otherwise).
     Near the origin R(x) = R(0) - |x|^2/6 + O(|x|^4).  The Ewald parameter
     ``alpha`` must be positive and finite, and the truncation radius
-    ``m_max`` an int of at least 1 (DomainError otherwise).
+    ``m_max`` an int of at least 1, and alpha^2 in the normal double range
+    (DomainError otherwise); certifying needs machine epsilon times
+    1/(4 alpha^2) and the self term below 1e-10 (AccuracyError otherwise).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
@@ -302,14 +316,23 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
     # written so that a NaN coordinate fails the check too
     if not np.max(np.abs(x)) < 0.5:
         raise DomainError("x must lie in the open unit cell (|x_i| < 1/2)")
-    if alpha is None:
-        alpha = math.sqrt(math.pi)
+    alpha = math.sqrt(math.pi) if alpha is None else float(alpha)
     # written so that a NaN alpha fails the check too
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
     # a float m_max would build a shifted lattice and certify a wrong value
     if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
         raise DomainError(f"m_max must be an int of at least 1, got {m_max!r}")
+    r = float(np.linalg.norm(x))
+    self_term = (alpha / (2.0 * math.pi**1.5) if r == 0.0
+                 else math.erf(alpha * r) / (4.0 * math.pi * r))
+    # 1e-10 against the rounding of 1/(4 alpha^2) (alpha^2 may underflow) and the self term
+    eps = sys.float_info.epsilon
+    if certify and (4e-10 * alpha * alpha < eps or eps * self_term > 1e-10):
+        raise AccuracyError(f"alpha = {alpha!r}: the rounding floor of 1/(4 alpha^2) or of the "
+                            "self term exceeds the 1e-10 of the certification")
+    if not sys.float_info.min <= alpha * alpha < math.inf:
+        raise DomainError(f"alpha = {alpha!r}: alpha^2 leaves the normal double range")
 
     def evaluate(mm: int) -> float:
         rng = np.arange(-mm, mm + 1)
@@ -319,18 +342,14 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
         # real-space images (m != 0)
         dv = x[None, :] - lat[nonzero]
         dn = np.linalg.norm(dv, axis=1)
-        real_sum = np.sum(_erfc_vec(alpha * dn) / (4.0 * math.pi * dn))
-        # reciprocal sum (n != 0)
+        real_sum = np.sum(np.array([math.erfc(t) for t in alpha * dn]) / (4.0 * math.pi * dn))
+        # reciprocal sum (n != 0); an overflowing exponent gives exp(-inf) = 0
         kv = lat[nonzero]
         k2 = np.sum(kv * kv, axis=1)
-        recip_sum = np.sum(np.exp(-math.pi**2 * k2 / alpha**2)
-                           * np.cos(2.0 * math.pi * (kv @ x))
-                           / (4.0 * math.pi**2 * k2))
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            self_term = alpha / (2.0 * math.pi**1.5)
-        else:
-            self_term = math.erf(alpha * r) / (4.0 * math.pi * r)
+        with np.errstate(over="ignore"):
+            recip_sum = np.sum(np.exp(-math.pi**2 * k2 / alpha**2)
+                               * np.cos(2.0 * math.pi * (kv @ x))
+                               / (4.0 * math.pi**2 * k2))
         return 1.0 / (4.0 * alpha**2) + self_term - real_sum - recip_sum
 
     val = evaluate(m_max)
@@ -341,7 +360,3 @@ def periodic_regular_part(x, alpha: float | None = None, m_max: int = 3,
                 f"Ewald sums not converged: {val!r} vs {val2!r} at m_max={m_max}")
         val = val2
     return val
-
-
-def _erfc_vec(v: np.ndarray) -> np.ndarray:
-    return np.array([math.erfc(t) for t in v])

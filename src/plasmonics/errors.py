@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class PlasmonicsError(Exception):
@@ -45,7 +45,3 @@ class ResonantCompositeError(PlasmonicsError):
 
 class ConfigError(PlasmonicsError):
     """A run configuration could not be parsed or is incomplete."""
-
-
-class RegimeWarning(UserWarning):
-    """Arguments fall outside the asymptotic regime an expansion assumes."""

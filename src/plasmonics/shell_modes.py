@@ -1,5 +1,6 @@
-"""Core-shell (two-interface) boundary system: 8x8 size-expansion blocks,
-shell Neumann-Poincare spectrum, degenerate second-order eigenvalue branches,
+"""Core-shell (two-interface) boundary system: shell Neumann-Poincare
+spectrum, degenerate second-order eigenvalue branches of its 8x8
+size-expansion blocks (dense in ``tests/_oracles.py``, the test reference),
 and hybridized resonances.
 
 Geometry: outer radius ``r_s``, radius ratio ``rho = r_c / r_s`` in (0, 1).
@@ -31,8 +32,7 @@ import numpy as np
 from . import media as _media
 from . import specfun
 from . import sphere_modes as _sphere
-from .errors import DegeneracyError, DegenerateContrastError, DomainError
-from .sphere_modes import EigenExpansion, ModeBlock, ResonanceReport
+from .errors import DegeneracyError, DomainError
 
 
 @dataclass(frozen=True)
@@ -102,48 +102,6 @@ def shell_coeffs(n: int, rho: float) -> ShellCoeffs:
     rt = r_tt * rho**n + r_t * rho ** (n + 2)
     st = s_tt * rho ** (n + 1) + s_t * rho ** (n + 3)
     return ShellCoeffs(f=f, g=g, p=p, q=q, r=r, s=s, pt=pt, qt=qt, rt=rt, st=st)
-
-
-def _pattern(c1: complex, c2: complex, c3: complex, c4: complex) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 3] = c1
-    out[1, 2] = c2
-    out[2, 1] = c3
-    out[3, 0] = c4
-    return out
-
-
-def shell_blocks(n: int, rho: float, omega: float, med: _media.MediumPair) -> ModeBlock:
-    """Assemble the 8x8 (W0, W1, W2) blocks for degree n; ``assembled(r_s)``
-    of the returned ``ModeBlock`` is the matrix at outer radius r_s.
-
-    The leading diagonal uses the offset 1/(2(2n+1)); this is the unique
-    value for which the W0 spectrum equals ``{lambda +/- L}`` with the
-    closed-form shell eigenvalue L and for which the rho -> 0 limit
-    reproduces the solid-sphere diagonal.
-    """
-    con = _media.contrasts(med)
-    if con.nonmagnetic:
-        raise DegenerateContrastError(
-            "shell_blocks needs magnetic contrast; use shell_degenerate_expansion "
-            "for the nonmagnetic eps branches")
-    c = shell_coeffs(n, rho)
-    phat = _media.ball_np_eigenvalue(n)
-    lam = np.diag([con.lambda_mu, con.lambda_mu, con.lambda_eps, con.lambda_eps]).astype(complex)
-    p0 = np.diag([phat, -phat, phat, -phat]).astype(complex)
-    q0 = rho**2 * np.diag([c.g, c.f, c.g, c.f]).astype(complex)
-    r0 = np.diag([c.f, c.g, c.f, c.g]).astype(complex)
-    c_mu, c_eps, d_mu, d_eps = _sphere.material_constants(med)
-    p1 = omega * _pattern(c_mu * c.p, c_mu * c.q, c_eps * c.p, c_eps * c.q)
-    q1 = omega * rho * _pattern(c_mu * c.pt, c_mu * c.qt, c_eps * c.pt, c_eps * c.qt)
-    r1 = -omega / rho * _pattern(c_mu * c.pt, c_mu * c.qt, c_eps * c.pt, c_eps * c.qt)
-    p2 = omega**2 * np.diag([d_mu * c.r, d_mu * c.s, d_eps * c.r, d_eps * c.s]).astype(complex)
-    q2 = omega**2 * rho * np.diag([d_mu * c.rt, d_mu * c.st, d_eps * c.rt, d_eps * c.st]).astype(complex)
-    r2 = omega**2 / rho * np.diag([d_mu * c.st, -d_mu * c.rt, d_eps * c.st, -d_eps * c.rt]).astype(complex)
-    w0 = np.block([[lam + p0, q0], [r0, lam - p0]])
-    w1 = np.block([[p1, q1], [r1, -p1]])
-    w2 = np.block([[p2, q2], [r2, -p2]])
-    return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
 
 
 #: branch -> (pair index a, sign of L in the eigenvalue, contrast sector)
@@ -256,7 +214,7 @@ class _ShellRows:
         _, sgn, sector = _BRANCH_DEF[b]
         return self.lam[sector] + sgn * self.L
 
-    def row(self, b: int) -> EigenExpansion:
+    def row(self, b: int) -> _sphere.EigenExpansion:
         """Branch b, with its second-order coefficient and its mixing with
         the branches of pair 5 - a."""
         right, left, norm = self.right, self.left, self.norm
@@ -287,12 +245,12 @@ class _ShellRows:
             # underflows long before the quotient does
             el += elem_bc * mix
             mixing.append((cb - 1, mix))
-        return EigenExpansion(family=f"branch{b}", n=self.n, index=b - 1, tau0=tau0, tau1=0.0,
-                              tau2_coeff=el / norm[b], mixing=tuple(mixing))
+        return _sphere.EigenExpansion(family=f"branch{b}", n=self.n, index=b - 1, tau0=tau0,
+                                      tau2_coeff=el / norm[b], mixing=tuple(mixing))
 
 
 def shell_degenerate_expansion(n: int, rho: float, omega: float | np.ndarray,
-                               med: _media.MediumPair) -> list[EigenExpansion]:
+                               med: _media.MediumPair) -> list[_sphere.EigenExpansion]:
     """The eight second-order eigenvalue branches of the assembled system.
 
     Built by degenerate perturbation theory with the analytic biorthogonal
@@ -322,7 +280,7 @@ _EPS_BRANCHES = ((5, +1, "bonding"), (7, -1, "antibonding"))
 def shell_resonances(host: _media.MaterialPreset, geom: ShellGeometry, order: str,
                      n_cut: int = 2,
                      omega_range: tuple[float, float] = (0.05, 0.99),
-                     n_grid: int = 400) -> list[ResonanceReport]:
+                     n_grid: int = 400) -> list[_sphere.ResonanceReport]:
     """Hybridized resonances of a Drude shell: for each degree n <= n_cut,
     the bonding/antibonding pair of roots of ``lambda_eps(omega) = -/+ L``
     (quasistatic) or the minimizers including the (r_s*omega)^2 branch shift

@@ -4,9 +4,12 @@ Per harmonic degree n the scaled boundary system is a 4x4 matrix family
 ``W(r) = W0 + r W1 + r^2 W2 + O(r^3)`` on the (U, V, U, V) mode basis.  W0 is
 diagonal with entries ``lambda_mu +/- 1/(2(2n+1))`` and
 ``lambda_eps +/- 1/(2(2n+1))``; the four eigenvalue branches pick up no O(r)
-term and an explicit (r w)^2 correction.  A resonance is a frequency where a
-branch modulus is locally minimal: quasistatic uses the r-independent leading
-term, the corrected order adds the (r w)^2 shift.
+term and an explicit (r w)^2 correction, given here in closed form (the dense
+4x4 matrices are a test reference, in ``tests/_oracles.py``).  A
+resonance is a frequency where a branch modulus is locally minimal:
+quasistatic uses the r-independent leading term, the corrected order adds
+the (r w)^2 shift.  ``resonance_reports`` finds every resonance of the
+package: spheres, shells and the anisotropic ball's paths.
 
 Family labels: ``"mu+", "mu-", "eps+", "eps-"`` name the sign of the
 ``1/(2(2n+1))`` offset in the leading term.  For nonmagnetic media only the
@@ -41,20 +44,6 @@ QRS_KINDS = (("JH", -1), ("Jh", -1), ("jH", 1))
 
 
 @dataclass(frozen=True)
-class ModeBlock:
-    """Matrix triple of the size expansion for one degree n: 4x4 for a
-    sphere (``w_blocks``), 8x8 for a shell (``shell_modes.shell_blocks``)."""
-
-    n: int
-    w0: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-    def assembled(self, r: float) -> np.ndarray:
-        return self.w0 + r * self.w1 + r * r * self.w2
-
-
-@dataclass(frozen=True)
 class EigenExpansion:
     """One eigenvalue branch of a sphere (``eigen_expansions``) or a shell
     (``shell_modes.shell_degenerate_expansion``):
@@ -72,7 +61,6 @@ class EigenExpansion:
     n: int
     index: int
     tau0: complex | np.ndarray
-    tau1: complex
     tau2_coeff: complex | np.ndarray
     mixing: tuple[tuple[int, complex | np.ndarray], ...]
 
@@ -134,33 +122,6 @@ def material_constants(med: _media.MediumPair) -> tuple[complex, complex, comple
     return c_mu, c_eps, d_mu, d_eps
 
 
-def w_blocks(n: int, omega: float, med: _media.MediumPair) -> ModeBlock:
-    """The (W0, W1, W2) triple for degree n at frequency omega.
-
-    Requires contrast in both eps and mu; for nonmagnetic media use
-    ``eigen_expansions`` directly, which implements the mu_c -> mu_m limit of
-    the eps families.
-    """
-    con = _media.contrasts(med)
-    if con.nonmagnetic:
-        raise DegenerateContrastError(
-            "w_blocks needs magnetic contrast; nonmagnetic media reduce to the eps families")
-    lam_mu, lam_eps = con.lambda_mu, con.lambda_eps
-    if abs(lam_mu - lam_eps) < 1e-12:
-        raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
-    p, q, r, s = small_r_floats(n)
-    phat = _media.ball_np_eigenvalue(n)
-    c_mu, c_eps, d_mu, d_eps = material_constants(med)
-    w0 = np.diag([lam_mu + phat, lam_mu - phat, lam_eps + phat, lam_eps - phat]).astype(complex)
-    w1 = np.zeros((4, 4), dtype=complex)
-    w1[0, 3] = omega * c_mu * p
-    w1[1, 2] = omega * c_mu * q
-    w1[2, 1] = omega * c_eps * p
-    w1[3, 0] = omega * c_eps * q
-    w2 = omega**2 * np.diag([d_mu * r, d_mu * s, d_eps * r, d_eps * s]).astype(complex)
-    return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
-
-
 class _SphereRows:
     """The guards of one degree-n expansion at one medium, all run on
     construction, and the constants that its family rows share.
@@ -218,7 +179,7 @@ class _SphereRows:
             gap = lam - other + p if plus else lam - other - p
             tau2 = self.cc / gap + d * tail
             mix = c * coef / gap
-        return EigenExpansion(family=FAMILIES[i], n=self.n, index=i, tau0=self.tau0(i), tau1=0.0,
+        return EigenExpansion(family=FAMILIES[i], n=self.n, index=i, tau0=self.tau0(i),
                               tau2_coeff=tau2, mixing=((3 - i, mix),))
 
 

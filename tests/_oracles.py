@@ -14,11 +14,18 @@ no command needs but the expansions are checked against:
 
 * the exact 2x2 boundary matrices of a sphere (``boundary_matrices``), from
   which the small-radius coefficients p, q, r, s are fitted;
+* the boundary-system model: the (W0, W1, W2) size-expansion blocks of a
+  sphere, 4x4 (``w_blocks``), and of a shell, 8x8 (``shell_blocks``), both
+  as a ``ModeBlock``.  No command needs the dense matrices: production reads
+  the same coefficients row by row (``sphere_modes._SphereRows``,
+  ``shell_modes._ShellRows``), and the dense eigensolves of these blocks are
+  what every eigenvalue branch and mixing coefficient is checked against;
 * the explicit biorthogonal W0 eigenbasis of a shell (``shell_basis``),
   compared with a dense eigensolve of ``shell_blocks``;
 * the three-term Bessel-product expansion (``bessel_product_small``), which
   evaluates the exact table ``specfun.product_coeffs`` that production code
-  sums, so its residual against exact products validates that table;
+  sums, so its residual against exact products validates that table, and
+  warns with ``RegimeWarning`` outside its small-argument regime;
 * the dipolar forward amplitude and optical-theorem extinction built from
   3x3 polarization tensors (``PolarizationTensor``, ``forward_amplitude``,
   ``extinction_quasistatic``), the reference of
@@ -52,7 +59,12 @@ import numpy as np
 
 from plasmonics import media, mie, shell_modes, specfun
 from plasmonics.quasistatic import ball_polarization_tensor
-from plasmonics.errors import DegenerateContrastError, DomainError, RegimeWarning
+from plasmonics.errors import DegeneracyError, DegenerateContrastError, DomainError
+from plasmonics.sphere_modes import material_constants, small_r_floats
+
+
+class RegimeWarning(UserWarning):
+    """Arguments fall outside the asymptotic regime an expansion assumes."""
 
 
 def mp_spherical_jh(n, z, dps=50):
@@ -314,6 +326,87 @@ def boundary_matrices(n, k, r):
     L = np.array([[0.0, 1j * k * kr * kr * j * h],
                   [-1j * k * J * H, 0.0]], dtype=complex)
     return M, L
+
+
+@dataclass(frozen=True)
+class ModeBlock:
+    """Matrix triple of the size expansion for one degree n: 4x4 for a
+    sphere (``w_blocks``), 8x8 for a shell (``shell_blocks``)."""
+
+    n: int
+    w0: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+
+    def assembled(self, r):
+        return self.w0 + r * self.w1 + r * r * self.w2
+
+
+def w_blocks(n, omega, med):
+    """The sphere's 4x4 (W0, W1, W2) triple for degree n at frequency omega,
+    on the (U, V, U, V) mode basis.
+
+    Requires contrast in both eps and mu; for nonmagnetic media
+    ``sphere_modes.eigen_expansions`` implements the mu_c -> mu_m limit of
+    the eps families.
+    """
+    con = media.contrasts(med)
+    if con.nonmagnetic:
+        raise DegenerateContrastError(
+            "w_blocks needs magnetic contrast; nonmagnetic media reduce to the eps families")
+    lam_mu, lam_eps = con.lambda_mu, con.lambda_eps
+    if abs(lam_mu - lam_eps) < 1e-12:
+        raise DegeneracyError("lambda_mu == lambda_eps violates the simple-spectrum condition")
+    p, q, r, s = small_r_floats(n)
+    phat = media.ball_np_eigenvalue(n)
+    c_mu, c_eps, d_mu, d_eps = material_constants(med)
+    w0 = np.diag([lam_mu + phat, lam_mu - phat, lam_eps + phat, lam_eps - phat]).astype(complex)
+    w1 = _pattern(omega * c_mu * p, omega * c_mu * q, omega * c_eps * p, omega * c_eps * q)
+    w2 = omega**2 * np.diag([d_mu * r, d_mu * s, d_eps * r, d_eps * s]).astype(complex)
+    return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
+
+
+def _pattern(c1, c2, c3, c4):
+    """The 4x4 anti-diagonal coupling with entries (0, 3), (1, 2), (2, 1), (3, 0)."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 3] = c1
+    out[1, 2] = c2
+    out[2, 1] = c3
+    out[3, 0] = c4
+    return out
+
+
+def shell_blocks(n, rho, omega, med):
+    """The shell's 8x8 (W0, W1, W2) blocks for degree n; ``assembled(r_s)``
+    of the returned ``ModeBlock`` is the matrix at outer radius r_s.
+
+    The leading diagonal uses the offset 1/(2(2n+1)); this is the unique
+    value for which the W0 spectrum equals ``{lambda +/- L}`` with the
+    closed-form shell eigenvalue L and for which the rho -> 0 limit
+    reproduces the solid-sphere diagonal.
+    """
+    con = media.contrasts(med)
+    if con.nonmagnetic:
+        raise DegenerateContrastError(
+            "shell_blocks needs magnetic contrast; use shell_degenerate_expansion "
+            "for the nonmagnetic eps branches")
+    c = shell_modes.shell_coeffs(n, rho)
+    phat = media.ball_np_eigenvalue(n)
+    lam = np.diag([con.lambda_mu, con.lambda_mu, con.lambda_eps, con.lambda_eps]).astype(complex)
+    p0 = np.diag([phat, -phat, phat, -phat]).astype(complex)
+    q0 = rho**2 * np.diag([c.g, c.f, c.g, c.f]).astype(complex)
+    r0 = np.diag([c.f, c.g, c.f, c.g]).astype(complex)
+    c_mu, c_eps, d_mu, d_eps = material_constants(med)
+    p1 = omega * _pattern(c_mu * c.p, c_mu * c.q, c_eps * c.p, c_eps * c.q)
+    q1 = omega * rho * _pattern(c_mu * c.pt, c_mu * c.qt, c_eps * c.pt, c_eps * c.qt)
+    r1 = -omega / rho * _pattern(c_mu * c.pt, c_mu * c.qt, c_eps * c.pt, c_eps * c.qt)
+    p2 = omega**2 * np.diag([d_mu * c.r, d_mu * c.s, d_eps * c.r, d_eps * c.s]).astype(complex)
+    q2 = omega**2 * rho * np.diag([d_mu * c.rt, d_mu * c.st, d_eps * c.rt, d_eps * c.st]).astype(complex)
+    r2 = omega**2 / rho * np.diag([d_mu * c.st, -d_mu * c.rt, d_eps * c.st, -d_eps * c.rt]).astype(complex)
+    w0 = np.block([[lam + p0, q0], [r0, lam - p0]])
+    w1 = np.block([[p1, q1], [r1, -p1]])
+    w2 = np.block([[p2, q2], [r2, -p2]])
+    return ModeBlock(n=n, w0=w0, w1=w1, w2=w2)
 
 
 @dataclass(frozen=True)

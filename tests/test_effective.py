@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,22 +166,26 @@ class TestBlockedQuadrature:
         assert np.array_equal(rots[5], np.diag([1.0, -1.0, -1.0]))
 
 
+#: the R of the ``aniso-general`` artifact job: every entry set, distinct eigenvalues
+R_GENERAL = np.array([[1.3, 0.3, -0.2], [0.3, 0.7, 0.5], [-0.2, 0.5, -0.4]])
+
+
 class TestAnisoResonance:
     def test_isotropic_reduction(self):
         drude = media.DrudeParams(1.0, 1.0, 0.02)
         res = eff.aniso_resonance(drude, 1.0, np.diag([1.0, -1.0, 0.0]), delta=0.0)
-        assert len(res) == 1 and res[0]["multiplicity"] == 3
+        assert len(res) == 1 and res[0].multiplicity == 3
 
     def test_isotropic_equivalence_rate(self):
-        # R = alpha Id at small delta equals the isotropic resonance with
-        # eps_c (1 + delta alpha) up to O(delta^2)
+        # R = alpha Id equals the isotropic resonance with eps_c (1 + delta
+        # alpha), exactly at n = 1: both taus are (2 + eps_c (1 + delta alpha)) / 3
         alpha = 0.8
         drude = media.DrudeParams(1.0, 1.0, 0.02)
         diffs = []
         for delta in (0.05, 0.1):
             res = eff.aniso_resonance(drude, 1.0, alpha * np.eye(3), delta=delta)
             assert len(res) == 1
-            om_a = res[0]["omega_star"]
+            om_a = res[0].report.omega_star
 
             def tau_scaled(w):
                 eps_c = media.drude_permittivity(drude, w) * (1.0 + delta * alpha)
@@ -188,16 +194,41 @@ class TestAnisoResonance:
             from plasmonics.sphere_modes import minimize_modulus
             om_iso = minimize_modulus(tau_scaled, (0.05, 0.99))
             diffs.append(abs(om_a - om_iso))
-        assert diffs[0] <= 4.0 * (0.05 / 0.1) ** 2 * diffs[1] + 1e-12
-        assert diffs[1] < 5e-3
+        assert max(diffs) <= 1e-12
 
     def test_traceless_splitting(self):
         drude = media.DrudeParams(1.0, 1.0, 0.02)
         res = eff.aniso_resonance(drude, 1.0, np.diag([1.0, -1.0, 0.0]), delta=0.1)
-        found = [r for r in res if r["found"]]
+        found = [r for r in res if r.report.found]
         assert len(found) == 3  # number of distinct eigenvalues of R
-        oms = sorted(r["omega_star"] for r in found)
+        oms = sorted(r.report.omega_star for r in found)
         assert oms[0] < oms[1] < oms[2]
+
+    @pytest.mark.parametrize("eps_m", [1.0, 2.25])
+    @pytest.mark.parametrize("delta", [0.005, 0.01, 0.02])
+    def test_exact_dipole_roots(self, delta, eps_m):
+        # at n = 1, tau_k = (2 eps_m + eps_c (1 + 3 delta pv_k)) / 3 with
+        # pv_k = r_k / 3 for the eigenvalues r_k of R, so a lossless Drude
+        # ball resonates where eps_c (1 + delta r_k) = -2 eps_m, that is at
+        # omega_p / sqrt(eps_inf + 2 eps_m / (1 + delta r_k))
+        drude = media.DrudeParams(1.0, 1.0, 0.0)
+        res = eff.aniso_resonance(drude, eps_m, R_GENERAL, delta=delta)
+        r_k = np.linalg.eigvalsh(R_GENERAL)
+        assert [r.multiplicity for r in res] == [1, 1, 1]
+        assert all(r.report.found and r.report.family == "eps+" and r.report.n == 1 for r in res)
+        assert max(abs(r.path_shift - rk / 3.0) for r, rk in zip(res, r_k)) <= 1e-12
+        want = 1.0 / np.sqrt(1.0 + 2.0 * eps_m / (1.0 + delta * r_k))
+        assert max(abs(r.report.omega_star - w) for r, w in zip(res, want)) <= 1e-11
+
+    def test_rotation_invariance(self):
+        # R and Q R Q^T have the same eigenvalues, so the same resonances
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        drude = media.DrudeParams(1.0, 1.0, 0.02)
+        got, want = (eff.aniso_resonance(drude, 1.0, r, delta=0.02)
+                     for r in (R_GENERAL, q @ R_GENERAL @ q.T))
+        assert [r.multiplicity for r in got] == [r.multiplicity for r in want] == [1, 1, 1]
+        assert max(abs(a.report.omega_star - b.report.omega_star)
+                   for a, b in zip(got, want)) <= 1e-12
 
     def test_delta_bound(self):
         drude = media.DrudeParams(1.0, 1.0, 0.02)
@@ -381,6 +412,41 @@ class TestPeriodicRegularPart:
         # must not pass the certification
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError):
             eff.periodic_regular_part([0.1, 0.0, 0.0], alpha=1e-160)
+
+    @pytest.mark.parametrize("alpha, error", [
+        (3e-10, AccuracyError), (1e-10, AccuracyError), (1e-20, AccuracyError),
+        (1e-100, AccuracyError), (1e-160, AccuracyError), (1e-163, AccuracyError),
+        (1e155, DomainError), (1e300, DomainError),
+        (1.5, None), (math.sqrt(math.pi), None), (2.0, None), (2.5, None)])
+    def test_extreme_alpha(self, alpha, error):
+        # the value at [0.1, 0, 0] is 0.22409; below alpha = 7.4e-4 the
+        # rounding of 1/(4 alpha^2) hides the 1e-10 compare (alpha = 1e-100
+        # used to certify 2.5e199), and alpha^2 outside the normal range used
+        # to raise ZeroDivisionError or OverflowError, or numpy warnings
+        x = [0.1, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is None:
+                assert abs(eff.periodic_regular_part(x, alpha=alpha)
+                           - eff.periodic_regular_part(x)) <= 1e-15
+            else:
+                with pytest.raises(error, match=re.escape(f"alpha = {alpha!r}")):
+                    eff.periodic_regular_part(x, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-163, 1e-160, 1e155, 1e300])
+    def test_alpha_squared_out_of_range_uncertified(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"alpha = {alpha!r}")):
+                eff.periodic_regular_part([0.1, 0.0, 0.0], alpha=alpha, certify=False)
+
+    def test_overflowing_reciprocal_exponent_is_silent(self):
+        # just inside the normal range of alpha^2 the reciprocal exponents
+        # overflow, and exp(-inf) = 0 is the terms' value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(eff.periodic_regular_part([0.1, 0.0, 0.0], alpha=2e-154,
+                                                           certify=False))
 
     def test_non_convergent_parameters(self):
         with pytest.raises(AccuracyError):

